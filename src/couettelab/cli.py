@@ -18,7 +18,7 @@ from . import harness
 from . import nonlinear as nl
 from .airy import DELTA1, a0 as airy_a0, airy as airy_fn, log_derivative_sup
 from .config import ConfigError, parse_config
-from .grid import build_diff_ops, build_grid, default_order
+from .grid import build_diff_ops, build_grid, default_order, real_apply
 from .norms import norms
 from .reports import CaseRecord, ReportDocument, emit, provenance
 from .resolvent import (ResolventCase, direct_forcing, homogeneous_airy,
@@ -106,16 +106,17 @@ def cmd_homog(args):
     g, ops = _grid_pair(c["nu"], c["k"], c["n"])
     pair = (homogeneous_airy if c["method"] == "airy" else homogeneous_bvp)(
         case, g, ops)
-    d1 = ops.d1
+    dphi1 = real_apply(ops.d1, pair.phi1)
+    dphi2 = real_apply(ops.d1, pair.phi2)
     rep = ReportDocument(provenance=provenance(text))
     rep.add_record(CaseRecord(
         id="homog_0000",
         params={"nu": c["nu"], "k": c["k"], "lambda": c["lambda"],
                 "method": pair.method, "n": g.order},
         results={
-            "phi1_prime_right": float(abs((d1 @ pair.phi1)[0])),
-            "phi1_prime_left": float(abs((d1 @ pair.phi1)[-1])),
-            "phi2_prime_left": float(abs((d1 @ pair.phi2)[-1])),
+            "phi1_prime_right": float(abs(dphi1[0])),
+            "phi1_prime_left": float(abs(dphi1[-1])),
+            "phi2_prime_left": float(abs(dphi2[-1])),
             "w1_l1": float(np.sum(g.quad_weights * np.abs(pair.w1))),
             "w2_l1": float(np.sum(g.quad_weights * np.abs(pair.w2))),
         }))

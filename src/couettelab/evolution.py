@@ -2,7 +2,7 @@
 
     d omega/dt + [nu(k^2 - d2) + iky] omega = -ik f1 - d f2/dy
 
-Crank-Nicolson on the full dense operator, factorized once per run.  Under
+Crank-Nicolson on the full dense operator, set up once per run.  Under
 vorticity Dirichlet the wall rows are bordered to w(+-1) = 0; under velocity
 Dirichlet the two wall values are chosen each step by the influence-matrix
 method so the exp(+-ky) moments of omega hit their targets (zero for the
@@ -15,11 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .grid import l2_norm, quadrature
+from .grid import l2_norm, quadrature, real_apply, wall_moment_rows
 from .resolvent import EllipticSolver, recover_velocity
 from .weights import rho_k
 
 MAX_STEPS = 400_000
+
+#: Largest admissible condition number of the 2x2 influence matrix.
+INFLUENCE_COND_MAX = 1e8
 
 
 def dt_accuracy_bound(nu, k):
@@ -57,46 +60,67 @@ def moment_violation(omega, k, grid):
 
 
 class CrankNicolson:
-    """One-step CN propagator with either wall treatment, LU reused."""
+    """One-step CN propagator with either wall treatment.
+
+    With L = nu(k^2 - d2) + iky, the explicit half M- = 1 - dt L/2 is the
+    real matrix (dt nu/2) d2 plus a complex diagonal, applied as one real
+    product with the shared d2.  Set-up folds the inverse of the
+    wall-bordered M+ = 1 + dt L/2 and, under velocity Dirichlet, the
+    influence-matrix correction into one complex propagator S and an (N, 2)
+    gain G for the wall-moment targets:
+
+        w' = S (M- w + dt r) + G targets,
+
+    so a step is one real product, one diagonal and one complex mat-vec;
+    no LU is kept.
+    """
 
     def __init__(self, nu, k, bc, dt, grid, ops):
         self.nu, self.k, self.bc, self.dt = nu, k, bc, dt
         self.grid, self.ops = grid, ops
         n = grid.n_points
-        lmat = (nu * (k**2 * np.eye(n) - ops.d2)
-                + 1j * k * np.diag(grid.nodes)).astype(complex)
-        m_plus = np.eye(n) + 0.5 * dt * lmat
-        self.m_minus = np.eye(n) - 0.5 * dt * lmat
+        self._m_minus_diag = 1.0 - 0.5 * dt * (nu * k**2 + 1j * k * grid.nodes)
+        self._m_minus_d2 = 0.5 * dt * nu
+        m_plus = np.diag(1.0 + 0.5 * dt * (nu * k**2 + 1j * k * grid.nodes)) \
+            - 0.5 * dt * nu * ops.d2
         for i in (0, n - 1):
             m_plus[i, :] = 0.0
             m_plus[i, i] = 1.0
-        self.lu = sla.lu_factor(m_plus)
-        self.elliptic = EllipticSolver(grid, ops, k)
+        prop = sla.lu_solve(sla.lu_factor(m_plus), np.eye(n))
+        walls = [0, n - 1]
+        infl_cols = prop[:, walls]
+        # the wall entries of the right-hand side are replaced by the bordering
+        prop[:, walls] = 0.0
+        self.gain = None
         if bc == "non_slip":
-            y = grid.nodes
-            q = grid.quad_weights
-            self._mom = np.vstack([q * np.exp(k * y), q * np.exp(-k * y)])
-            cols = np.zeros((n, 2), dtype=complex)
-            cols[0, 0] = 1.0
-            cols[n - 1, 1] = 1.0
-            self.infl_cols = sla.lu_solve(self.lu, cols)
-            self.infl_mat = self._mom @ self.infl_cols
-            if abs(np.linalg.det(self.infl_mat)) == 0.0:
-                raise RuntimeError("singular influence matrix")
+            mom = wall_moment_rows(grid, k)
+            infl_mat = real_apply(mom, infl_cols)
+            cond = np.linalg.cond(infl_mat)
+            if not cond <= INFLUENCE_COND_MAX:
+                raise RuntimeError(
+                    f"ill-conditioned influence matrix at k = {k}, nu = {nu:g}, "
+                    f"dt = {dt:g}: cond = {cond:.3g} > {INFLUENCE_COND_MAX:g}")
+            self.gain = np.linalg.solve(infl_mat.T, infl_cols.T).T
+            prop -= self.gain @ real_apply(mom, prop)
+        self.propagator = np.ascontiguousarray(prop)   # row-major: faster mat-vec
+        self.elliptic = EllipticSolver(grid, ops, k)
+
+    def apply_m_minus(self, w):
+        """M- w: the diagonal part plus the shared real d2 product."""
+        return self._m_minus_diag * w + self._m_minus_d2 * real_apply(self.ops.d2, w)
 
     def step(self, w, rhs_mid=None, moment_targets=(0.0, 0.0)):
-        """Advance one dt.  rhs_mid is the time-centered forcing (nodal)."""
-        rhs = self.m_minus @ w
+        """Advance one dt.  rhs_mid is the time-centered forcing (nodal);
+        moment_targets apply under velocity Dirichlet only."""
+        rhs = self.apply_m_minus(w)
         if rhs_mid is not None:
-            rhs = rhs + self.dt * rhs_mid
-        rhs[0] = 0.0
-        rhs[-1] = 0.0
-        wp = sla.lu_solve(self.lu, rhs)
-        if self.bc == "navier_slip":
-            return wp
-        resid = np.asarray(moment_targets, dtype=complex) - self._mom @ wp
-        ab = np.linalg.solve(self.infl_mat, resid)
-        return wp + self.infl_cols @ ab
+            rhs += self.dt * rhs_mid
+        if not np.isfinite(rhs[1:-1]).all():
+            raise ValueError(f"non-finite CN right-hand side at k = {self.k}")
+        w_new = self.propagator @ rhs
+        if self.gain is not None:
+            w_new += self.gain @ np.asarray(moment_targets, dtype=complex)
+        return w_new
 
 
 @dataclass
@@ -141,7 +165,7 @@ class _Accumulator:
         self.bweight = 1.0 - np.abs(grid.nodes)
         self.led = SpaceTimeLedger()
         self.led.data_l2 = l2_norm(grid, case.omega0)
-        self.led.data_dy_l2 = l2_norm(grid, ops.d1 @ case.omega0)
+        self.led.data_dy_l2 = l2_norm(grid, real_apply(ops.d1, case.omega0))
         self._prev = None
 
     def take(self, t, w, f1norm2=0.0, f2norm2=0.0):
@@ -190,7 +214,7 @@ def _rhs_of(case, grid, ops, t):
         rhs = rhs - 1j * case.k * f1
         n1 = abs(quadrature(grid, np.abs(f1) ** 2))
     if f2 is not None:
-        rhs = rhs - ops.d1 @ f2
+        rhs = rhs - real_apply(ops.d1, f2)
         n2 = abs(quadrature(grid, np.abs(f2) ** 2))
     return rhs, n1, n2
 
@@ -282,7 +306,7 @@ def homogeneous_splitting(case, grid, ops, store_every=1):
     acc2 = _Accumulator(case, grid, ops, stepper)
     acc3 = _Accumulator(case, grid, ops, stepper)
     accd = _Accumulator(case, grid, ops, stepper)
-    mom = stepper._mom if case.bc == "non_slip" else None
+    mom = wall_moment_rows(grid, k)
 
     w_d = w0.copy()
     w2 = np.zeros_like(w0)
@@ -299,11 +323,11 @@ def homogeneous_splitting(case, grid, ops, store_every=1):
         w1_next = part1(t_next)
         # CN residual of the closed-form part: (M+ w1_next - M- w1)/dt
         m_plus_w1n = w1_next + 0.5 * dt * (
-            nu * (k**2 * w1_next - ops.d2 @ w1_next) + 1j * k * y * w1_next)
-        m_minus_w1 = stepper.m_minus @ w1
+            nu * (k**2 * w1_next - real_apply(ops.d2, w1_next)) + 1j * k * y * w1_next)
+        m_minus_w1 = stepper.apply_m_minus(w1)
         rhs2 = -(m_plus_w1n - m_minus_w1) / dt
         w2 = stepper.step(w2, rhs_mid=rhs2, moment_targets=(0.0, 0.0))
-        tgt = -(mom @ w1_next)
+        tgt = -real_apply(mom, w1_next)
         w3 = stepper.step(w3, rhs_mid=None, moment_targets=tuple(tgt))
         w_d = stepper.step(w_d)
         w1 = w1_next

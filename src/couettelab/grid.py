@@ -140,6 +140,24 @@ def build_diff_ops(grid):
     return DiffOps(d1=d1, d2=d2, d4=d4)
 
 
+def real_apply(a, x):
+    """a @ x for a real matrix a and a complex vector or (n, m) block x.
+
+    The product runs on the float64 view of x (real and imaginary parts as
+    interleaved columns), one real BLAS call; numpy's own a @ x would first
+    copy a to complex and do four times the arithmetic.
+    """
+    x = np.ascontiguousarray(x, dtype=complex)
+    out = a @ x.view(np.float64).reshape(x.shape[0], -1)
+    return out.view(complex).reshape(a.shape[:1] + x.shape[1:])
+
+
+def wall_moment_rows(grid, k):
+    """(2, n) quadrature rows of the wall moments <w, e^{+ky}>, <w, e^{-ky}>."""
+    q, y = grid.quad_weights, grid.nodes
+    return np.vstack([q * np.exp(k * y), q * np.exp(-k * y)])
+
+
 def quadrature(grid, values):
     """Clenshaw-Curtis approximation of the integral of values over (-1, 1)."""
     values = np.asarray(values)

@@ -13,13 +13,14 @@ power iteration in the quadrature-weighted norm.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
 from .grid import (build_diff_ops, build_grid, default_order, l1_norm, l2_norm,
-                   quadrature)
+                   quadrature, real_apply, wall_moment_rows)
 from .norms import norms
 from .resolvent import (EPSILON_MAX, EllipticSolver, ResolventCase,
                         ResolventSolution, airy_admissible, direct_forcing,
@@ -203,14 +204,14 @@ class _WorstCaseSweeper:
 
             def t(x):
                 f2 = x / self.sqw
-                f_int = -(d1 @ f2)[self.inner]
+                f_int = -real_apply(d1, f2)[self.inner]
                 return self.sqw * self._apply_r(lu, pair, f_int)
 
             def th(y):
                 z = self._apply_rh(lu, pair, self.sqw * y)
                 z_full = np.zeros(n, dtype=complex)
                 z_full[self.inner] = z
-                return -(d1.conj().T @ z_full) / self.sqw
+                return -real_apply(d1.T, z_full) / self.sqw
 
             dim = n
 
@@ -228,7 +229,7 @@ class _WorstCaseSweeper:
         else:
             f2 = x / self.sqw
             fnorm = l2_norm(self.grid, f2)
-            f_int = -(self.ops.d1 @ f2)[self.inner]
+            f_int = -real_apply(self.ops.d1, f2)[self.inner]
         w = self._apply_r(lu, pair, f_int)
         phi = self.elliptic.solve(w)
         sol = ResolventSolution(case=case, w=w, phi=phi,
@@ -459,10 +460,24 @@ def verify_w12_bounds(nu_values, k_values, lambdas, n_override=None):
 
 @dataclass(frozen=True)
 class SpectralGapReport:
+    """Spectrum of the restricted generator.
+
+    psi is the gap functional when it was asked for, NaN otherwise.
+    pseudo_abscissa is the same functional, computed on first read (54 SVDs
+    of the generator) unless psi already holds it.
+    """
+
     eigenvalues: np.ndarray
     gap: float
     psi: float
-    pseudo_abscissa: float
+    generator: np.ndarray = field(repr=False, compare=False)
+    scan_scale: float = 1.0
+
+    @cached_property
+    def pseudo_abscissa(self):
+        if not math.isnan(self.psi):
+            return self.psi
+        return psi_functional(self.generator, self.scan_scale)[0]
 
 
 def evolution_generator(nu, k, bc, grid, ops):
@@ -482,9 +497,8 @@ def _generator_and_moments(nu, k, bc, grid, ops):
     lmat = (nu * (k**2 * np.eye(n) - ops.d2) + 1j * k * np.diag(y)).astype(complex)
     if bc == "navier_slip":
         return lmat[1:-1, 1:-1], None
-    q = grid.quad_weights
-    mom = np.vstack([q * np.exp(k * y), q * np.exp(-k * y)])  # (2, n)
-    rows = mom @ lmat
+    mom = wall_moment_rows(grid, k)
+    rows = real_apply(mom, lmat)
     bnd = [0, n - 1]
     inner = np.arange(1, n - 1)
     slave = -np.linalg.solve(rows[:, bnd], rows[:, inner])  # w_bnd = slave @ w_int
@@ -535,9 +549,10 @@ def spectrum(case, grid, ops, want_psi=None):
     gap = float(-np.max(mu.real))
     if want_psi is None:
         want_psi = case.bc == "navier_slip"
-    pseudo, _ = psi_functional(ax, float(abs(case.k)))
-    psi = pseudo if want_psi else float("nan")
-    return SpectralGapReport(eigenvalues=mu, gap=gap, psi=psi, pseudo_abscissa=pseudo)
+    scale = float(abs(case.k))
+    psi = psi_functional(ax, scale)[0] if want_psi else float("nan")
+    return SpectralGapReport(eigenvalues=mu, gap=gap, psi=psi, generator=ax,
+                             scan_scale=scale)
 
 
 # -- weak-type pairing -------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .evolution import CrankNicolson, dt_accuracy_bound
-from .grid import l2_norm, quadrature
+from .grid import l2_norm, quadrature, real_apply
 from .resolvent import recover_velocity
 
 BLOWUP_GUARD = 1e8
@@ -118,11 +118,14 @@ class SpectralLab:
         self.m_pad = pad_modes(k_max)
 
     def velocities(self, state):
-        """Per-mode velocity arrays for k = 0..k_max (k = 0 is the mean)."""
+        """Per-mode velocity arrays for k = 0..k_max (k = 0 is the mean).
+
+        The stream functions of all modes go through one d/dy product."""
+        ks = np.arange(1, self.k_max + 1)
+        phi = np.column_stack([self.elliptic[k].solve(state.modes[k]) for k in ks])
+        u1, u2 = recover_velocity(phi, ks, self.ops)
         out = {0: (state.mean_shear.astype(complex), np.zeros_like(state.mean_shear, dtype=complex))}
-        for k in range(1, self.k_max + 1):
-            phi = self.elliptic[k].solve(state.modes[k])
-            out[k] = recover_velocity(phi, k, self.ops)
+        out.update({k: (u1[:, k - 1], u2[:, k - 1]) for k in ks})
         return out
 
     def nonlinear_rhs(self, state):
@@ -157,8 +160,9 @@ class SpectralLab:
         """Nodal right-hand sides: per-mode -ik f1_k - d f2_k/dy and the
         mean forcing -f2_0."""
         f1, f2 = self.nonlinear_rhs(state)
-        rhs = {k: -1j * k * f1[k] - self.ops.d1 @ f2[k]
-               for k in range(1, self.k_max + 1)}
+        ks = range(1, self.k_max + 1)
+        df2 = real_apply(self.ops.d1, np.column_stack([f2[k] for k in ks]))
+        rhs = {k: -1j * k * f1[k] - df2[:, k - 1] for k in ks}
         return rhs, -f2[0]
 
     def advance(self, state, rhs_prev=None):

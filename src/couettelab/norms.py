@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import l1_norm, l2_norm, quadrature, weighted_l2_norm
+from .grid import l1_norm, l2_norm, quadrature, real_apply, weighted_l2_norm
 from .weights import rho_k
 
 
@@ -37,7 +37,7 @@ def norms(solution, case, grid, ops):
     # reciprocal wall weight: infinite at the walls, masked by the norm helper
     with np.errstate(divide="ignore"):
         rho_neg = rho ** -0.5
-    phip = ops.d1 @ phi
+    phip = real_apply(ops.d1, phi)
     h1 = quadrature(grid, np.abs(phip) ** 2).real \
         + case.k**2 * quadrature(grid, np.abs(phi) ** 2).real
     bundle = NormBundle(
@@ -47,7 +47,7 @@ def norms(solution, case, grid, ops):
         h1_phi=float(h1),
         u_l2=math.sqrt(abs(quadrature(grid, np.abs(u1) ** 2 + np.abs(u2) ** 2))),
         critical=l2_norm(grid, (y - case.lam) * w),
-        w_prime_l2=l2_norm(grid, ops.d1 @ w),
+        w_prime_l2=l2_norm(grid, real_apply(ops.d1, w)),
         rho_half=weighted_l2_norm(grid, w, rho),
         rho_neg_quarter=weighted_l2_norm(grid, w, rho_neg),
         rho_threehalf=weighted_l2_norm(grid, w, rho ** 3),

@@ -47,6 +47,61 @@ def test_zero_stays_zero():
         assert np.max(np.abs(w)) == 0.0
 
 
+def dense_cn_step(nu, k, bc, dt, g, ops, w, r, targets):
+    """Reference CN step: one dense solve of M+ w' = M- w + dt r with the two
+    wall rows replaced by w = 0 (navier_slip) or by the wall moments set to
+    their targets (non_slip)."""
+    n = g.n_points
+    y = g.nodes
+    lmat = nu * (k**2 * np.eye(n) - ops.d2) + 1j * k * np.diag(y)
+    m_plus = np.eye(n) + 0.5 * dt * lmat
+    rhs = (np.eye(n) - 0.5 * dt * lmat) @ w + dt * r
+    if bc == "navier_slip":
+        m_plus[[0, -1]] = np.eye(n)[[0, -1]]
+        rhs[[0, -1]] = 0.0
+    else:
+        q = g.quad_weights
+        m_plus[[0, -1]] = np.vstack([q * np.exp(k * y), q * np.exp(-k * y)])
+        rhs[[0, -1]] = targets
+    return np.linalg.solve(m_plus, rhs)
+
+
+@pytest.mark.parametrize("bc, targets", [
+    ("navier_slip", (0.0, 0.0)),
+    ("non_slip", (0.0, 0.0)),
+    ("non_slip", (0.3 - 0.2j, -0.1 + 0.4j)),
+])
+def test_cn_step_matches_dense_bordered_solve(bc, targets):
+    nu, k = 1e-3, 2
+    g, ops = mkgrid(nu, k)
+    dt = E.dt_accuracy_bound(nu, k)
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    w = moment_free_data(g, ops, k) * np.polyval(c, g.nodes)
+    r = np.cos(np.pi * g.nodes / 2) * np.polyval(c[::-1], g.nodes)
+    stepper = E.CrankNicolson(nu, k, bc, dt, g, ops)
+    for _ in range(3):
+        ref = dense_cn_step(nu, k, bc, dt, g, ops, w, r, targets)
+        out = stepper.step(w, rhs_mid=r, moment_targets=targets)
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+        w = ref
+
+
+def test_influence_matrix_guard(monkeypatch):
+    g, ops = mkgrid(1e-3, 1)
+
+    def degenerate_rows(grid, k):
+        row = grid.quad_weights * np.exp(k * grid.nodes)
+        return np.vstack([row, 0.0 * row])
+
+    monkeypatch.setattr(E, "wall_moment_rows", degenerate_rows)
+    with pytest.raises(RuntimeError, match="influence matrix at k = 1, "
+                       "nu = 0.001, dt = 0.05: cond = "):
+        E.CrankNicolson(1e-3, 1, "non_slip", 0.05, g, ops)
+    # vorticity-Dirichlet walls use no influence matrix
+    E.CrankNicolson(1e-3, 1, "navier_slip", 0.05, g, ops)
+
+
 def test_navier_energy_dissipation_per_step():
     nu, k = 1e-3, 1
     g, ops = mkgrid(nu, k)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from couettelab.grid import (N_MAX, build_diff_ops, build_grid, cheb_nodes,
-                             default_order, l2_norm, quadrature,
+                             default_order, l2_norm, quadrature, real_apply,
                              weighted_l2_norm)
 
 from oracles import exp_quadrature_exact
@@ -103,3 +103,18 @@ def test_weighted_norm_monotone_in_weight():
     f = rng.standard_normal(49) + 1j * rng.standard_normal(49)
     w = rng.uniform(0, 1, 49)
     assert weighted_l2_norm(g, f, w) <= l2_norm(g, f) + 1e-12
+
+
+def test_real_apply_matches_complex_product():
+    rng = np.random.default_rng(11)
+    n, m = 97, 5
+    a = rng.standard_normal((n, n))
+    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    block = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    # C-ordered, transposed and non-square matrices; vector, block, strided column
+    for mat in (a, a.T, a[:3]):
+        for x in (vec, block, block[:, 1]):
+            ref = mat.astype(complex) @ x
+            out = real_apply(mat, x)
+            assert out.shape == ref.shape and out.dtype == np.complex128
+            assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)

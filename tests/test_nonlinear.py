@@ -115,6 +115,75 @@ def test_linear_consistency_with_evolution(setup):
         assert E.moment_violation(st.modes[k], k, g) <= 1e-7
 
 
+def reference_advance(nu, kmax, g, ops, dt, st, rhs_prev):
+    """One CN + AB2 step by the per-mode formulas: dense bordered elliptic
+    and CN solves, complex d/dy products and the direct convolution sums."""
+    n = g.n_points
+    y, q = g.nodes, g.quad_weights
+    eye = np.eye(n)
+    d1 = ops.d1.astype(complex)
+    u1 = {0: st.mean_shear.astype(complex)}
+    u2 = {0: np.zeros(n, dtype=complex)}
+    w = {0: ops.d1 @ st.mean_shear}
+    for k in range(1, kmax + 1):
+        lap = (ops.d2 - k**2 * eye).astype(complex)
+        lap[[0, -1]] = eye[[0, -1]]
+        rhs = st.modes[k].copy()
+        rhs[[0, -1]] = 0.0
+        phi = np.linalg.solve(lap, rhs)
+        u1[k], u2[k], w[k] = d1 @ phi, -1j * k * phi, st.modes[k]
+    for k in range(1, kmax + 1):
+        u1[-k], u2[-k], w[-k] = np.conj(u1[k]), np.conj(u2[k]), np.conj(w[k])
+    f1, f2 = {}, {}
+    for k in range(0, kmax + 1):
+        ls = [l for l in range(-kmax, kmax + 1) if abs(k - l) <= kmax]
+        f1[k] = sum(u1[l] * w[k - l] for l in ls)
+        f2[k] = sum(u2[l] * w[k - l] for l in ls)
+    rhs = {k: -1j * k * f1[k] - d1 @ f2[k] for k in range(1, kmax + 1)}
+    mean_rhs = -f2[0]
+    modes = {}
+    for k in range(1, kmax + 1):
+        explicit = rhs[k] if rhs_prev is None else 1.5 * rhs[k] - 0.5 * rhs_prev[0][k]
+        lmat = nu * (k**2 * eye - ops.d2) + 1j * k * np.diag(y)
+        b = (eye - 0.5 * dt * lmat) @ st.modes[k] + dt * explicit
+        m_plus = eye + 0.5 * dt * lmat
+        m_plus[[0, -1]] = np.vstack([q * np.exp(k * y), q * np.exp(-k * y)])
+        b[[0, -1]] = 0.0
+        modes[k] = np.linalg.solve(m_plus, b)
+    explicit = mean_rhs if rhs_prev is None else 1.5 * mean_rhs - 0.5 * rhs_prev[1]
+    b = (eye + 0.5 * dt * nu * ops.d2) @ st.mean_shear + dt * explicit.real
+    b[[0, -1]] = 0.0
+    heat = eye - 0.5 * dt * nu * ops.d2
+    heat[[0, -1]] = eye[[0, -1]]
+    return modes, np.linalg.solve(heat, b), (rhs, mean_rhs)
+
+
+def test_advance_matches_per_mode_reference(setup):
+    nu, K, g, ops = setup
+    kmax = 4
+    dt = NL.dt_accuracy_bound(nu, kmax)
+    lab = NL.SpectralLab(nu, kmax, g, ops, dt)
+    # At 3% of multi_mode_state, dt times the quadratic term is ~2e-4 of the
+    # largest mode.  At full size, rounding in the elliptic solves (the
+    # bordered d2 - k^2 has condition ~N^4: ~1e-12 relative error by any LU)
+    # alone moves a step by a few 1e-12 of the largest mode.
+    st = multi_mode_state(g, ops, kmax)
+    rng = np.random.default_rng(5)
+    st.mean_shear = 0.03 * st.mean_shear
+    for k in range(1, kmax + 1):
+        st.modes[k] = 0.03 * complex(*rng.uniform(0.5, 1.5, 2)) * st.modes[k]
+        st.modes[-k] = np.conj(st.modes[k])
+    rhs_lab = rhs_ref = None
+    for _ in range(3):
+        modes, mean, rhs_ref = reference_advance(nu, kmax, g, ops, dt, st, rhs_ref)
+        st, rhs_lab = lab.advance(st, rhs_lab)
+        scale = max(np.abs(modes[k]).max() for k in modes)
+        for k in range(1, kmax + 1):
+            assert np.abs(st.modes[k] - modes[k]).max() <= 1e-12 * scale, k
+            assert np.array_equal(st.modes[-k], np.conj(st.modes[k]))
+        assert np.abs(st.mean_shear - mean).max() <= 1e-12 * np.abs(mean).max()
+
+
 def test_momentum_flux_consistency(setup):
     # the mean vorticity equation integrates to boundary fluxes only
     nu, K, g, ops = setup

@@ -176,6 +176,34 @@ def test_recover_velocity_examples(setup64):
     assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
+def test_elliptic_solver_matches_dense_solve(setup64):
+    g, ops = setup64
+    n = g.n_points
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for k in (1, 3):
+        a = (ops.d2 - k**2 * np.eye(n)).astype(complex)
+        a[[0, -1]] = np.eye(n)[[0, -1]]
+        rhs = w.copy()
+        rhs[[0, -1]] = 0.0
+        ref = np.linalg.solve(a, rhs)
+        phi = R.EllipticSolver(g, ops, k).solve(w)
+        assert np.linalg.norm(phi - ref) <= 1e-12 * np.linalg.norm(ref), k
+    with pytest.raises(ValueError, match="non-finite"):
+        R.EllipticSolver(g, ops, 1).solve(np.full(n, np.nan))
+
+
+def test_recover_velocity_block_matches_columns(setup64):
+    g, ops = setup64
+    ks = np.array([1, 2, 5])
+    phi = np.column_stack([(1 - g.nodes**2) * np.exp(1j * k * g.nodes) for k in ks])
+    u1, u2 = R.recover_velocity(phi, ks, ops)
+    for j, k in enumerate(ks):
+        c1, c2 = R.recover_velocity(phi[:, j], k, ops)
+        assert np.array_equal(u2[:, j], c2)
+        assert np.linalg.norm(u1[:, j] - c1) <= 1e-14 * np.linalg.norm(c1)
+
+
 # -- homogeneous pair ----------------------------------------------------------
 
 def test_homogeneous_pair_contract():
