@@ -249,8 +249,8 @@ def airy(z, method="auto"):
     if method == "auto":
         used = "maclaurin" if abs(z) <= R_SWITCH else "asymptotic"
     ai, e10 = _descale(ai_m, s)
-    aip, e10p = _descale(aip_m, s)
     # ai and ai_prime share s, so the decades agree
+    aip, _ = _descale(aip_m, s)
     return AiryBundle(z=complex(z), ai=ai, ai_prime=aip, method=used, exp10=e10)
 
 

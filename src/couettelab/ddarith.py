@@ -55,12 +55,6 @@ def dd_mul(xh, xl, yh, yl):
     return fast_two_sum(p, e)
 
 
-def dd_mul_d(xh, xl, d):
-    p, e = two_prod(xh, d)
-    e = e + xl * d
-    return fast_two_sum(p, e)
-
-
 def dd_div_d(xh, xl, d):
     # d must be exactly representable (integer products here)
     q1 = xh / d

@@ -13,7 +13,7 @@ power iteration in the quadrature-weighted norm.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -23,9 +23,10 @@ from .grid import (build_diff_ops, build_grid, default_order, l1_norm, l2_norm,
                    quadrature, real_apply, wall_moment_rows)
 from .norms import norms
 from .resolvent import (EPSILON_MAX, EllipticSolver, ResolventCase,
-                        ResolventSolution, airy_admissible, direct_forcing,
-                        homogeneous_airy, homogeneous_bvp, pair_forcing,
-                        recover_velocity, solve_nonslip, vorticity_matrix)
+                        ResolventSolution, airy_admissible, airy_kernels,
+                        direct_forcing, homogeneous_airy, homogeneous_bvp,
+                        pair_forcing, recover_velocity, solve_nonslip,
+                        vorticity_matrix)
 from .weights import cutoff_chi, rho_k
 
 
@@ -112,20 +113,25 @@ def enforce_resolution_rule(nu, k, n):
 
 def _power_sigma_max(apply_t, apply_th, dim, x0=None, iters=80, tol=1e-11):
     """Largest singular value and right singular vector of T by power
-    iteration on T^H T (apply_t / apply_th are matrix-free)."""
+    iteration on T^H T (apply_t / apply_th are matrix-free).
+
+    Returns (sigma, x, iterations, converged).  converged is False when the
+    relative change of ||T^H T x|| was still above tol after `iters` steps;
+    sigma and x are then the last iterate's.  The error contracts like
+    (sigma_2 / sigma_1)^2 per step.
+    """
     rng = np.random.default_rng(7)
     x = x0 if x0 is not None else rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     x = x / np.linalg.norm(x)
     mu = 0.0
-    for _ in range(iters):
+    for it in range(1, iters + 1):
         y = apply_th(apply_t(x))
         mu_new = np.linalg.norm(y)
         x = y / mu_new
         if abs(mu_new - mu) <= tol * mu_new:
-            mu = mu_new
-            break
+            return math.sqrt(mu_new), x, it, True
         mu = mu_new
-    return math.sqrt(mu), x
+    return math.sqrt(mu), x, iters, False
 
 
 class _WorstCaseSweeper:
@@ -135,6 +141,8 @@ class _WorstCaseSweeper:
     quadrature-weighted L2 geometry) is power-iterated for its top singular
     pair; the maximizing forcing is then solved normally and every norm of
     its solution is recorded.  Suprema are taken over all lambdas visited.
+    The lambdas whose power iteration stopped at its cap unconverged are
+    kept in ``unconverged``, in visit order.
     """
 
     def __init__(self, nu, k, bc, data, n_override=None):
@@ -146,13 +154,14 @@ class _WorstCaseSweeper:
         self.sqw = np.sqrt(self.grid.quad_weights)
         self.inner = slice(1, n - 1)
         self._warm = None
+        self.unconverged = []
         if bc == "non_slip":
             y = self.grid.nodes
             s2k = math.sinh(2 * k)
             self.s1 = -self.grid.quad_weights * np.sinh(k * (1 + y)) / s2k
             self.s2 = self.grid.quad_weights * np.sinh(k * (1 - y)) / s2k
 
-    def _factor(self, lam):
+    def _factor(self, lam, kernels=None):
         case = ResolventCase(nu=self.nu, k=self.k, lam=lam, bc=self.bc)
         a = vorticity_matrix(case, self.grid, self.ops)
         n = self.grid.n_points
@@ -164,7 +173,7 @@ class _WorstCaseSweeper:
         if self.bc == "non_slip":
             if airy_admissible(case):
                 pair = homogeneous_airy(case, self.grid, self.ops,
-                                        elliptic=self.elliptic)
+                                        elliptic=self.elliptic, kernels=kernels)
             else:
                 pair = homogeneous_bvp(case, self.grid, self.ops)
         return case, lu, pair
@@ -186,8 +195,19 @@ class _WorstCaseSweeper:
         z = sla.lu_solve(lu, y_full, trans=2)
         return z[self.inner]
 
-    def response_at(self, lam):
-        case, lu, pair = self._factor(lam)
+    def kernels_for(self, lambdas):
+        """Airy wall kernels of every lambda from one batch; None for each
+        lambda when the sweep's homogeneous pair is not the Airy one."""
+        case = ResolventCase(nu=self.nu, k=self.k, bc=self.bc)
+        if self.bc != "non_slip" or not airy_admissible(case):
+            return [None] * len(lambdas)
+        return airy_kernels([replace(case, lam=float(lam)) for lam in lambdas],
+                            self.grid)
+
+    def response_at(self, lam, kernels=None):
+        """Top singular pair of the solution operator at lam; ``kernels`` is
+        lam's slice of an airy_kernels batch, evaluated here when absent."""
+        case, lu, pair = self._factor(lam, kernels)
         sq_in = self.sqw[self.inner]
         n = self.grid.n_points
 
@@ -215,8 +235,10 @@ class _WorstCaseSweeper:
 
             dim = n
 
-        sigma, x = _power_sigma_max(t, th, dim, x0=self._warm)
+        sigma, x, _, converged = _power_sigma_max(t, th, dim, x0=self._warm)
         self._warm = x
+        if not converged:
+            self.unconverged.append(lam)
         return sigma, x, (case, lu, pair)
 
     def solution_for(self, x, ctx):
@@ -242,8 +264,8 @@ class _WorstCaseSweeper:
         sup = {}
         evals = []
 
-        def visit(lam):
-            sigma, x, ctx = self.response_at(float(lam))
+        def visit(lam, kernels=None):
+            sigma, x, ctx = self.response_at(float(lam), kernels)
             sol, fnorm = self.solution_for(x, ctx)
             nb = norms(sol, ctx[0], self.grid, self.ops)
             for key, val in nb.as_dict().items():
@@ -251,7 +273,9 @@ class _WorstCaseSweeper:
             evals.append((float(lam), sigma))
             return sigma
 
-        vals = [visit(l) for l in lambdas]
+        # the grid shares one Airy batch; the refinement visits evaluate
+        # their own kernels, since each depends on the previous response
+        vals = [visit(l, kern) for l, kern in zip(lambdas, self.kernels_for(lambdas))]
         j = int(np.argmax(vals))
         lo = lambdas[max(j - 1, 0)]
         hi = lambdas[min(j + 1, len(lambdas) - 1)]
@@ -408,15 +432,25 @@ def verify_c_bounds(nu, k, lambdas=None, forcing_key="exp_ipiy", n_override=None
     fvals = FORCINGS[forcing_key](g.nodes)
     fnorm = l2_norm(g, fvals)
     out = {"c1_l2": 0.0, "c2_l2": 0.0, "c1_hm1": 0.0, "c2_hm1": 0.0}
-    for lam in lambdas:
-        case = ResolventCase(nu=nu, k=k, lam=float(lam), bc="non_slip")
-        sol = solve_nonslip(case, direct_forcing(fvals), g, ops, elliptic=ell)
+    cases = [ResolventCase(nu=nu, k=k, lam=float(lam), bc="non_slip")
+             for lam in lambdas]
+    # one Airy batch for the grid, one pair per lambda for both forcings;
+    # without the Airy hypothesis (it does not depend on lambda)
+    # solve_nonslip takes the monolithic path, which needs no pair
+    airy = airy_admissible(ResolventCase(nu=nu, k=k, bc="non_slip"))
+    kernels = airy_kernels(cases, g) if airy else [None] * len(cases)
+    for lam, case, kern in zip(lambdas, cases, kernels):
+        pair = None if kern is None else homogeneous_airy(
+            case, g, ops, elliptic=ell, kernels=kern)
+        sol = solve_nonslip(case, direct_forcing(fvals), g, ops, elliptic=ell,
+                            pair=pair)
         scale = nu ** (-1 / 6) * abs(k) ** (-5 / 6) * fnorm
         out["c1_l2"] = max(out["c1_l2"],
                            (1 + abs(k * (lam - 1))) * abs(sol.c1) / scale)
         out["c2_l2"] = max(out["c2_l2"],
                            (1 + abs(k * (lam + 1))) * abs(sol.c2) / scale)
-        sol = solve_nonslip(case, pair_forcing(f2=fvals), g, ops, elliptic=ell)
+        sol = solve_nonslip(case, pair_forcing(f2=fvals), g, ops, elliptic=ell,
+                            pair=pair)
         scale = nu ** (-0.5) * abs(k) ** (-0.5) * fnorm
         out["c1_hm1"] = max(out["c1_hm1"],
                             (1 + abs(k * (lam - 1))) ** 0.75 * abs(sol.c1) / scale)
@@ -434,9 +468,10 @@ def verify_w12_bounds(nu_values, k_values, lambdas, n_override=None):
             g, ops = _grid_for(nu, k, n_override)
             ell = EllipticSolver(g, ops, k)
             rho = rho_k(g.nodes, (abs(k) / nu) ** (1 / 3))
-            for lam in lambdas:
-                case = ResolventCase(nu=nu, k=k, lam=float(lam), bc="non_slip")
-                pair = homogeneous_airy(case, g, ops, elliptic=ell)
+            cases = [ResolventCase(nu=nu, k=k, lam=float(lam), bc="non_slip")
+                     for lam in lambdas]
+            for lam, case, kern in zip(lambdas, cases, airy_kernels(cases, g)):
+                pair = homogeneous_airy(case, g, ops, elliptic=ell, kernels=kern)
                 L = case.L
                 s1 = nu ** 0.5 / (1 + abs(k * (lam - 1))) ** 0.5
                 s2 = nu ** 0.5 / (1 + abs(k * (lam + 1))) ** 0.5

@@ -296,32 +296,55 @@ def airy_admissible(case):
     return case.L >= 6 * k or (case.L >= k >= K0_LARGE)
 
 
-def homogeneous_airy(case, grid, ops, elliptic=None):
+def airy_kernels(cases, grid):
+    """Slanted-Airy wall kernels of several cases from one airy_scaled batch.
+
+    Returns one (m1, s1, m2, s2) tuple per case: Ai on the critical-layer
+    coordinate rotated by e^{i pi/6} and by e^{5i pi/6}, as mantissa m and
+    log scale s.  A case with k < 0 gets the kernels of its k > 0 mirror,
+    which is the case homogeneous_airy evaluates for it.  The ascending
+    series costs some ten thousand numpy operations per call whatever the
+    number of points in its band, so one batch over a lambda grid costs a
+    fraction of one call per lambda.
+    """
+    if not cases:
+        return []
+    y = grid.nodes
+    rot1 = cmath.exp(1j * math.pi / 6)
+    rot2 = cmath.exp(5j * math.pi / 6)
+    args = []
+    for case in cases:
+        base = (case.L * (y - case.lam - 1j * abs(case.k) * case.nu)
+                + 1j * case.epsilon)
+        args += [rot1 * base, rot2 * base]
+    m_all, _, s_all = airy_scaled(np.concatenate(args), need_prime=False)
+    shape = (len(cases), 2, grid.n_points)
+    return [(m[0], s[0], m[1], s[1])
+            for m, s in zip(m_all.reshape(shape), s_all.reshape(shape))]
+
+
+def homogeneous_airy(case, grid, ops, elliptic=None, kernels=None):
     """Homogeneous pair from slanted Airy functions.
 
     W1, W2 are Airy evaluations on the rotated critical-layer coordinate;
     the wall-moment system fixes the four coefficients.  All exponentially
-    large factors stay in (mantissa, log) form.
+    large factors stay in (mantissa, log) form.  ``kernels`` is the case's
+    slice of an airy_kernels batch; without it the case is evaluated alone.
     """
     if not airy_admissible(case):
         raise ValueError(
             f"slanted-Airy representation requires L >= 6|k| or L >= |k| >= "
             f"{K0_LARGE}; case has L = {case.L:.2f}, k = {case.k}")
     if case.k < 0:
-        mirror = homogeneous_airy(_conjugate_case(case), grid, ops)
+        mirror = homogeneous_airy(_conjugate_case(case), grid, ops,
+                                  kernels=kernels)
         return _conjugate_pair(mirror)
 
-    k, nu, lam, eps = case.k, case.nu, case.lam, case.epsilon
-    L = case.L
+    k, nu, lam = case.k, case.nu, case.lam
     y = grid.nodes
-    base = L * (y - lam - 1j * k * nu) + 1j * eps
-    rot1 = cmath.exp(1j * math.pi / 6)
-    rot2 = cmath.exp(5j * math.pi / 6)
-    m_all, _, s_all = airy_scaled(np.concatenate([rot1 * base, rot2 * base]),
-                                  need_prime=False)
-    n = grid.n_points
-    m1, s1 = m_all[:n], s_all[:n]
-    m2, s2 = m_all[n:], s_all[n:]
+    if kernels is None:
+        kernels = airy_kernels([case], grid)[0]
+    m1, s1, m2, s2 = kernels
 
     q = grid.quad_weights
     A1 = scaled_quadrature(q, m1, s1 + k * y)
@@ -419,19 +442,23 @@ def homogeneous_bvp(case, grid, ops):
                            method="bvp")
 
 
-def solve_nonslip(case, forcing, grid, ops, path="auto", elliptic=None):
+def solve_nonslip(case, forcing, grid, ops, path="auto", elliptic=None,
+                  pair=None):
     """Velocity-Dirichlet resolvent solve.
 
     path 'monolithic': one bordered solve of the coupled (w, phi) system.
     path 'decomposed': vorticity-Dirichlet solve + homogeneous pair with
     coefficients from the sinh-moment formulas.  'auto' prefers the
-    decomposed slanted-Airy route when its hypothesis holds.
+    decomposed slanted-Airy route when its hypothesis holds.  ``pair`` is
+    the case's homogeneous pair when the caller already has it (several
+    forcings at one case); the decomposed path then builds none.
     """
     if case.bc != "non_slip":
         raise ValueError("solve_nonslip requires bc = non_slip")
     if case.k < 0:
         mirror = solve_nonslip(_conjugate_case(case), _conj_forcing(forcing),
-                               grid, ops, path=path)
+                               grid, ops, path=path,
+                               pair=None if pair is None else _conjugate_pair(pair))
         return _conjugate_solution(case, mirror)
     if path == "auto":
         path = "decomposed" if airy_admissible(case) else "monolithic"
@@ -454,10 +481,11 @@ def solve_nonslip(case, forcing, grid, ops, path="auto", elliptic=None):
         elliptic = EllipticSolver(grid, ops, case.k)
     na = solve_navier(replace(case, bc="navier_slip"), forcing, grid, ops,
                       elliptic=elliptic)
-    if path == "decomposed" and airy_admissible(case):
-        pair = homogeneous_airy(case, grid, ops, elliptic=elliptic)
-    else:
-        pair = homogeneous_bvp(case, grid, ops)
+    if pair is None:
+        if path == "decomposed" and airy_admissible(case):
+            pair = homogeneous_airy(case, grid, ops, elliptic=elliptic)
+        else:
+            pair = homogeneous_bvp(case, grid, ops)
     c1, c2 = coefficients(na.w, case.k, grid)
     w = na.w + c1 * pair.w1 + c2 * pair.w2
     phi = na.phi + c1 * pair.phi1 + c2 * pair.phi2

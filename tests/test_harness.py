@@ -75,6 +75,36 @@ def test_worst_case_exceeds_fixed_forcing():
     assert sup["l2"] >= l2_norm(g, sol.w) / l2_norm(g, F)
 
 
+@pytest.mark.parametrize("data", ["l2", "pair"])
+def test_worst_case_batched_kernels_match_per_lambda(data, monkeypatch):
+    # the grid pass shares one Airy batch; evaluating each lambda alone
+    # must give the same sup dict, bit for bit
+    batched, _ = H.worst_case_norms(1e-3, 1, "non_slip", data)
+    monkeypatch.setattr(H._WorstCaseSweeper, "kernels_for",
+                        lambda self, lambdas: [None] * len(lambdas))
+    alone, _ = H.worst_case_norms(1e-3, 1, "non_slip", data)
+    assert batched == alone
+
+
+def test_power_iteration_reports_convergence():
+    rng = np.random.default_rng(3)
+    q1, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    q2, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+
+    def run(svals, iters):
+        t = q1 @ np.diag(svals) @ q2.T
+        return H._power_sigma_max(lambda x: t @ x, lambda y: t.T @ y, 12,
+                                  iters=iters)
+
+    close = np.linspace(1.0, 0.5, 12)
+    close[1] = 0.999                 # sigma_2 / sigma_1 ~ 1
+    _, _, its, converged = run(close, 5)
+    assert not converged and its == 5
+    sigma, _, its, converged = run(np.logspace(0, -3, 12), 80)
+    assert converged and its < 80
+    assert abs(sigma - 1.0) <= 1e-10
+
+
 def test_spectrum_navier_psi_bound():
     nu, k = 1e-3, 1
     g, ops = mkgrid(nu, k)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -266,6 +267,53 @@ def test_homogeneous_mirror_symmetry():
                                                 bc="non_slip"), g, ops)
     mirrored = -np.conj(pair_m.w1[::-1])
     assert l2_norm(g, pair_p.w2 - mirrored) <= 1e-8 * l2_norm(g, pair_p.w2)
+
+
+def _same_pair(p, q):
+    scaled = ("C11", "C12", "C21", "C22", "A1", "A2", "B1", "B2")
+    return (all(np.array_equal(getattr(p, f), getattr(q, f))
+                for f in ("w1", "w2", "phi1", "phi2", "d", "d_tilde"))
+            and all(getattr(p, f).m == getattr(q, f).m
+                    and getattr(p, f).s == getattr(q, f).s for f in scaled))
+
+
+# mixed cases on one grid: lam = 1.5 at nu = 1e-4 has no point in the
+# ascending-series band (|z| >= L/2 > 8.35), the others have some
+BATCH_CASES = [
+    R.ResolventCase(nu=1e-4, k=1, lam=0.0, bc="non_slip"),
+    R.ResolventCase(nu=1e-4, k=1, lam=1.5, bc="non_slip"),
+    R.ResolventCase(nu=1e-4, k=-1, lam=0.3, bc="non_slip"),
+    R.ResolventCase(nu=1e-4, k=2, lam=-0.7, epsilon=0.01, bc="non_slip"),
+    R.ResolventCase(nu=3e-4, k=-2, lam=0.95, bc="non_slip"),
+]
+
+
+def test_airy_kernels_batch_matches_single_cases():
+    g, ops = mkgrid(1e-4, 1)
+    far = BATCH_CASES[1]
+    assert np.min(np.abs(far.L * (g.nodes - far.lam))) > 8.35
+    batch = R.airy_kernels(BATCH_CASES, g)
+    assert len(batch) == len(BATCH_CASES)
+    for case, kern in zip(BATCH_CASES, batch):
+        alone = R.airy_kernels([case], g)[0]
+        assert all(np.array_equal(a, b) for a, b in zip(kern, alone)), case
+        if case.k < 0:
+            mirror = R.airy_kernels([replace(case, k=-case.k)], g)[0]
+            assert all(np.array_equal(a, b) for a, b in zip(kern, mirror)), case
+    assert R.airy_kernels([], g) == []
+
+
+def test_homogeneous_airy_with_and_without_kernels():
+    g, ops = mkgrid(1e-4, 1)
+    F = R.direct_forcing(np.exp(1j * g.nodes))
+    for case, kern in zip(BATCH_CASES, R.airy_kernels(BATCH_CASES, g)):
+        passed = R.homogeneous_airy(case, g, ops, kernels=kern)
+        assert _same_pair(passed, R.homogeneous_airy(case, g, ops)), case
+        # a pair handed to solve_nonslip replaces the one it would build
+        given = R.solve_nonslip(case, F, g, ops, pair=passed)
+        built = R.solve_nonslip(case, F, g, ops)
+        assert np.array_equal(given.w, built.w), case
+        assert (given.c1, given.c2) == (built.c1, built.c2), case
 
 
 def test_negative_k_by_conjugation():
