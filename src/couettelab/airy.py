@@ -88,51 +88,86 @@ class DampingFactor:
 
 
 # -- ascending series (double-double) ---------------------------------------
+#
+# Ai = Ai(0) f - (-Ai'(0)) g and Ai' = Ai(0) f' - (-Ai'(0)) g' with
+# f = sum w^k / prod (3j-1)(3j),  g = z sum w^k / prod 3j(3j+1),  w = z^3.
+# The four series are summed together: a complex double-double is stored as
+# hi and lo arrays of shape (2, ...), real and imaginary part on the first
+# axis, and the terms as (2, series, point) arrays.
+
+# per-term divisors of the f, g, f', g' series (exact integers) and their splits
+_DIVISORS = np.array([[(3 * k + 2) * (3 * k + 3), (3 * k + 3) * (3 * k + 4),
+                       3 * (k + 1) * (3 * k + 5), 3 * (k + 1) * (3 * k + 1)]
+                      for k in range(_SERIES_TERMS)], dtype=float)
+_DIVISORS_SPLIT = dd.split(_DIVISORS)
+# Ai(0) and Ai'(0) weights of the f, g, f', g' sums
+_WEIGHTS = (np.array([_AI0[0], -_C2[0], _AI0[0], -_C2[0]]),
+            np.array([_AI0[1], -_C2[1], _AI0[1], -_C2[1]]))
+
+
+def _cmul_matrix(yh, yl):
+    """Multiplication by the complex double-double y as a 2x2 real matrix
+    W = [[Re y, -Im y], [Im y, Re y]] of double-doubles, stacked with the
+    split of its hi part: (hi, lo, split hi, split lo) on the first axis.
+    The sign sits in W[0, 1]: dd_mul(a, -b) == -dd_mul(a, b)."""
+    wh = np.array([[yh[0], -yh[1]], [yh[1], yh[0]]])
+    wl = np.array([[yl[0], -yl[1]], [yl[1], yl[0]]])
+    return np.array([wh, wl, *dd.split(wh)])
+
+
+def _cmul(xh, xl, w):
+    """Complex double-double product x * y, y given as _cmul_matrix(y)
+    (broadcast against x's trailing axes)."""
+    ph, pl = dd.dd_mul(xh[None], xl[None], w[0], w[1], y_split=w[2:])
+    return dd.dd_add(ph[:, 0], pl[:, 0], ph[:, 1], pl[:, 1])
+
 
 def _maclaurin_dd(z, need_prime):
-    """Ai, Ai' by the ascending series in double-double arithmetic."""
+    """Ai, Ai' at the points of the 1-D array z by the ascending series in
+    double-double arithmetic."""
     z = np.asarray(z, dtype=complex)
-    zdd = dd.cdd_from_complex(z)
-    w3 = dd.cdd_mul(dd.cdd_mul(zdd, zdd), zdd)
+    zeros = np.zeros(z.shape)
+    ones = np.ones(z.shape)
+    zh = np.array([z.real, z.imag])
+    zl = np.zeros_like(zh)
+    wz = _cmul_matrix(zh, zl)
+    z2h, z2l = _cmul(zh, zl, wz)
+    w3 = _cmul_matrix(*_cmul(z2h, z2l, wz))[:, :, :, None]   # over the series
 
-    f_term = dd.cdd_from_complex(np.ones_like(z))
-    g_term = zdd
-    f_sum = f_term
-    g_sum = g_term
+    # first terms of f, g and, with the prime, f' (z^2/2) and g' (1)
+    th = [[ones, zeros], zh]
+    tl = [[zeros, zeros], zl]
     if need_prime:
-        # fp-series starts at k=1 (term z^2/2); gp-series starts at 1
-        fp_term = dd.cdd_div_d(dd.cdd_mul(zdd, zdd), 2.0)
-        gp_term = dd.cdd_from_complex(np.ones_like(z))
-        fp_sum = fp_term
-        gp_sum = gp_term
-
+        fph, fpl = dd.dd_div_d(z2h, z2l, 2.0)
+        th += [fph, [ones, zeros]]
+        tl += [fpl, [zeros, zeros]]
+    th = np.stack(th, axis=1)
+    tl = np.stack(tl, axis=1)
+    n_series = th.shape[1]
+    sh, sl = th, tl
     for k in range(_SERIES_TERMS):
-        f_term = dd.cdd_div_d(dd.cdd_mul(f_term, w3), (3 * k + 2) * (3 * k + 3))
-        g_term = dd.cdd_div_d(dd.cdd_mul(g_term, w3), (3 * k + 3) * (3 * k + 4))
-        f_sum = dd.cdd_add(f_sum, f_term)
-        g_sum = dd.cdd_add(g_sum, g_term)
-        if need_prime:
-            kk = k + 1
-            fp_term = dd.cdd_div_d(dd.cdd_mul(fp_term, w3), 3 * kk * (3 * kk + 2))
-            gp_term = dd.cdd_div_d(dd.cdd_mul(gp_term, w3), (3 * kk) * (3 * kk - 2))
-            fp_sum = dd.cdd_add(fp_sum, fp_term)
-            gp_sum = dd.cdd_add(gp_sum, gp_term)
-        if k % 8 == 7 and np.max(dd.cdd_abs_est(f_term) + dd.cdd_abs_est(g_term)) < 1e-40 * max(
-            1.0, np.max(dd.cdd_abs_est(f_sum))
-        ):
-            break
+        th, tl = _cmul(th, tl, w3)
+        d = _DIVISORS[k, :n_series, None]
+        d_split = tuple(a[k, :n_series, None] for a in _DIVISORS_SPLIT)
+        th, tl = dd.dd_div_d(th, tl, d, d_split)
+        sh, sl = dd.dd_add(sh, sl, th, tl)
+        if k % 8 == 7:
+            f_est = np.abs(th[0, 0]) + np.abs(th[1, 0])
+            g_est = np.abs(th[0, 1]) + np.abs(th[1, 1])
+            f_sum_est = np.abs(sh[0, 0]) + np.abs(sh[1, 0])
+            if np.max(f_est + g_est) < 1e-40 * max(1.0, np.max(f_sum_est)):
+                break
 
-    ai = dd.cdd_to_complex(
-        dd.cdd_add(dd.cdd_scale_dd(f_sum, *_AI0),
-                   dd.cdd_scale_dd(g_sum, -_C2[0], -_C2[1]))
-    )
+    ch, cl = (c[:n_series, None] for c in _WEIGHTS)
+    sh, sl = dd.dd_mul(sh, sl, ch, cl)
+    # (re/im, series, point) -> (re/im, function, f or g, point)
+    sh = sh.reshape(2, n_series // 2, 2, -1)
+    sl = sl.reshape(2, n_series // 2, 2, -1)
+    vh, vl = dd.dd_add(sh[:, :, 0], sl[:, :, 0], sh[:, :, 1], sl[:, :, 1])
+    vals = (vh[0] + vl[0]) + 1j * (vh[1] + vl[1])
     if not need_prime:
-        return ai, None
-    aip = dd.cdd_to_complex(
-        dd.cdd_add(dd.cdd_scale_dd(fp_sum, *_AI0),
-                   dd.cdd_scale_dd(gp_sum, -_C2[0], -_C2[1]))
-    )
-    return ai, aip
+        return vals[0], None
+    return vals[0], vals[1]
 
 
 # -- asymptotic series -------------------------------------------------------

@@ -24,9 +24,9 @@ from .grid import (build_diff_ops, build_grid, default_order, l1_norm, l2_norm,
 from .norms import norms
 from .resolvent import (EPSILON_MAX, EllipticSolver, ResolventCase,
                         ResolventSolution, airy_admissible, airy_kernels,
-                        direct_forcing, homogeneous_airy, homogeneous_bvp,
-                        pair_forcing, recover_velocity, solve_nonslip,
-                        vorticity_matrix)
+                        bordered_vorticity_matrix, direct_forcing,
+                        homogeneous_airy, homogeneous_bvp, pair_forcing,
+                        recover_velocity, solve_nonslip, write_shear)
 from .weights import cutoff_chi, rho_k
 
 
@@ -155,6 +155,10 @@ class _WorstCaseSweeper:
         self.inner = slice(1, n - 1)
         self._warm = None
         self.unconverged = []
+        # the bordered vorticity operator; each lambda rewrites only its
+        # interior imaginary diagonal k(y - lam)
+        self._operator = bordered_vorticity_matrix(
+            ResolventCase(nu=nu, k=k, bc=bc), self.grid, self.ops)
         if bc == "non_slip":
             y = self.grid.nodes
             s2k = math.sinh(2 * k)
@@ -163,12 +167,8 @@ class _WorstCaseSweeper:
 
     def _factor(self, lam, kernels=None):
         case = ResolventCase(nu=self.nu, k=self.k, lam=lam, bc=self.bc)
-        a = vorticity_matrix(case, self.grid, self.ops)
-        n = self.grid.n_points
-        for i in (0, n - 1):
-            a[i, :] = 0.0
-            a[i, i] = 1.0
-        lu = sla.lu_factor(a)
+        a = write_shear(self._operator.copy(order="F"), case, self.grid)
+        lu = sla.lu_factor(a, overwrite_a=True)
         pair = None
         if self.bc == "non_slip":
             if airy_admissible(case):

@@ -116,16 +116,23 @@ class SpectralLab:
         self._heat_lu = sla.lu_factor(heat)
         self._heat_minus = np.eye(n) + 0.5 * dt * nu * ops.d2
         self.m_pad = pad_modes(k_max)
+        self._velocities_of = (None, None)   # (state, its velocities)
 
     def velocities(self, state):
         """Per-mode velocity arrays for k = 0..k_max (k = 0 is the mean).
 
-        The stream functions of all modes go through one d/dy product."""
+        The stream functions of all modes go through one d/dy product.  The
+        result for the last state object asked about is kept, so a sampled
+        step's energy and the next step's right-hand side share one
+        evaluation; states are not modified once built."""
+        if self._velocities_of[0] is state:
+            return self._velocities_of[1]
         ks = np.arange(1, self.k_max + 1)
         phi = np.column_stack([self.elliptic[k].solve(state.modes[k]) for k in ks])
         u1, u2 = recover_velocity(phi, ks, self.ops)
         out = {0: (state.mean_shear.astype(complex), np.zeros_like(state.mean_shear, dtype=complex))}
         out.update({k: (u1[:, k - 1], u2[:, k - 1]) for k in ks})
+        self._velocities_of = (state, out)
         return out
 
     def nonlinear_rhs(self, state):

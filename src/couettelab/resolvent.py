@@ -204,6 +204,28 @@ def stream_matrix(case, grid, ops):
             - case.shift * lap).astype(complex)
 
 
+def bordered_vorticity_matrix(case, grid, ops):
+    """vorticity_matrix with its rows at y = +-1 replaced by w = 0.
+
+    Fortran-ordered, so lu_factor(..., overwrite_a=True) factors it in
+    place.  Only its interior imaginary diagonal k(y - lam) depends on lam;
+    write_shear rewrites it for another lam.
+    """
+    a = np.asfortranarray(vorticity_matrix(case, grid, ops))
+    for i in (0, grid.n_points - 1):
+        a[i, :] = 0.0
+        a[i, i] = 1.0
+    return a
+
+
+def write_shear(a, case, grid):
+    """Set the interior imaginary diagonal of a bordered vorticity matrix to
+    the case's k(y - lam), in place; returns a."""
+    inner = np.arange(1, grid.n_points - 1)
+    a.imag[inner, inner] = case.k * (grid.nodes[inner] - case.lam)
+    return a
+
+
 def build_operator(case, grid, ops):
     """Bordered discrete operator for the case's boundary condition.
 
@@ -213,11 +235,8 @@ def build_operator(case, grid, ops):
     """
     n = grid.n_points
     if case.bc == "navier_slip":
-        a = vorticity_matrix(case, grid, ops)
-        for i in (0, n - 1):
-            a[i, :] = 0.0
-            a[i, i] = 1.0
-        return BorderedOperator(matrix=a, bc_rows=(0, n - 1), form="vorticity")
+        return BorderedOperator(matrix=bordered_vorticity_matrix(case, grid, ops),
+                                bc_rows=(0, n - 1), form="vorticity")
     a = stream_matrix(case, grid, ops)
     rows = (0, 1, n - 2, n - 1)
     a[0, :] = 0.0
@@ -303,9 +322,9 @@ def airy_kernels(cases, grid):
     coordinate rotated by e^{i pi/6} and by e^{5i pi/6}, as mantissa m and
     log scale s.  A case with k < 0 gets the kernels of its k > 0 mirror,
     which is the case homogeneous_airy evaluates for it.  The ascending
-    series costs some ten thousand numpy operations per call whatever the
-    number of points in its band, so one batch over a lambda grid costs a
-    fraction of one call per lambda.
+    series has a fixed cost per call (a few thousand numpy operations on
+    small arrays) whatever the number of points in its band, so one batch
+    over a lambda grid costs a fraction of one call per lambda.
     """
     if not cases:
         return []

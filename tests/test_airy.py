@@ -141,6 +141,40 @@ def test_method_band_guards():
         A.airy(1.0, method="asymptotic")
 
 
+def _ascending_points(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, A.R_SWITCH, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.uint64)
+
+
+def test_maclaurin_ai_same_bits_with_and_without_prime():
+    # the f' and g' series ride along in the same arrays; they must not
+    # change Ai or the number of terms summed
+    z = _ascending_points(200, 5)
+    ai_p, aip = A._maclaurin_dd(z, True)
+    ai, none = A._maclaurin_dd(z, False)
+    assert none is None and aip.shape == z.shape
+    assert np.array_equal(_bits(ai_p), _bits(ai))
+
+
+@pytest.mark.parametrize("need_prime", [True, False])
+def test_maclaurin_small_point_same_bits_alone_and_in_batch(need_prime):
+    # a batch reaching |z| = R_SWITCH sums more terms than a small point
+    # needs; the extra terms must leave the small point's bits alone
+    small = np.array([0.3 + 0.1j, -0.7j, 1.2 * E16, 2.5 - 1.0j])
+    batch = np.concatenate([_ascending_points(60, 6), small,
+                            [A.R_SWITCH * np.exp(2.5j)]])
+    together = A._maclaurin_dd(batch, need_prime)
+    for j, z in enumerate(small):
+        alone = A._maclaurin_dd(np.array([z]), need_prime)
+        for a, b in zip(alone, together):
+            if a is not None:
+                assert np.array_equal(_bits(a[0]), _bits(b[60 + j]))
+
+
 def test_overflow_guard_scaled_representation():
     b = A.airy(-160.0 + 80.0j)  # |zeta| ~ 1900: far outside float range
     assert b.exp10 != 0

@@ -9,7 +9,7 @@ from couettelab.norms import norms
 from couettelab.resolvent import (ResolventCase, ResolventSolution,
                                   direct_forcing, pair_forcing,
                                   recover_velocity, solve_navier, solve_nonslip,
-                                  EllipticSolver)
+                                  vorticity_matrix, EllipticSolver)
 
 
 def mkgrid(nu, k):
@@ -84,6 +84,36 @@ def test_worst_case_batched_kernels_match_per_lambda(data, monkeypatch):
                         lambda self, lambdas: [None] * len(lambdas))
     alone, _ = H.worst_case_norms(1e-3, 1, "non_slip", data)
     assert batched == alone
+
+
+@pytest.mark.parametrize("bc", ["navier_slip", "non_slip"])
+def test_sweeper_operator_matches_bordered_vorticity_matrix(bc, monkeypatch):
+    # the sweeper builds its bordered operator once and rewrites the shear
+    # diagonal per lambda; every matrix it factors must equal the from-
+    # scratch vorticity_matrix with Dirichlet rows, bit for bit
+    factored = []
+    lu_factor = H.sla.lu_factor
+
+    def spy(a, *args, **kwargs):
+        factored.append(np.ascontiguousarray(a))
+        return lu_factor(a, *args, **kwargs)
+
+    nu, k = 1e-3, 1
+    sweeper = H._WorstCaseSweeper(nu, k, bc, "l2")
+    monkeypatch.setattr(H.sla, "lu_factor", spy)
+    grid_lams = np.linspace(-1.5, 1.5, 41)
+    lams = [grid_lams[3], 0.123456, grid_lams[20], -1.37, grid_lams[40], 0.9]
+    for lam in lams:
+        sweeper._factor(float(lam))
+    assert len(factored) == len(lams)
+    n = sweeper.grid.n_points
+    for lam, a in zip(lams, factored):
+        case = ResolventCase(nu=nu, k=k, lam=float(lam), bc=bc)
+        ref = vorticity_matrix(case, sweeper.grid, sweeper.ops)
+        for i in (0, n - 1):
+            ref[i, :] = 0.0
+            ref[i, i] = 1.0
+        assert np.array_equal(a.view(np.uint64), ref.view(np.uint64))
 
 
 def test_power_iteration_reports_convergence():

@@ -184,6 +184,28 @@ def test_advance_matches_per_mode_reference(setup):
         assert np.abs(st.mean_shear - mean).max() <= 1e-12 * np.abs(mean).max()
 
 
+def test_velocities_reused_for_the_same_state(setup):
+    # a sampled step's energy and the next step's right-hand side share one
+    # velocity evaluation; it must equal a fresh one bit for bit
+    nu, K, g, ops = setup
+    kmax = 4
+    lab = NL.SpectralLab(nu, kmax, g, ops, NL.dt_accuracy_bound(nu, kmax))
+    st = multi_mode_state(g, ops, kmax)
+    vel = lab.velocities(st)
+    assert lab.velocities(st) is vel
+    new, _ = lab.advance(st)
+    kept = lab.velocities(new)
+    assert lab.velocities(new) is kept and kept is not vel
+    twin = NL.PerturbationState(modes=dict(new.modes), mean_shear=new.mean_shear,
+                                time=new.time)
+    fresh = lab.velocities(twin)
+    assert fresh is not kept
+    for k in range(kmax + 1):
+        for a, b in zip(kept[k], fresh[k]):
+            assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                  np.ascontiguousarray(b).view(np.uint64)), k
+
+
 def test_momentum_flux_consistency(setup):
     # the mean vorticity equation integrates to boundary fluxes only
     nu, K, g, ops = setup
