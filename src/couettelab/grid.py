@@ -90,11 +90,6 @@ def boundary_layer_scale(nu, k):
     return (abs(k) / nu) ** (1.0 / 3.0)
 
 
-def critical_layer_scale(nu, k):
-    """delta = nu^(1/3) |k|^(-1/3), the critical-layer width (= 1/L)."""
-    return (nu / abs(k)) ** (1.0 / 3.0)
-
-
 def _cheb_d1(nodes):
     """First-derivative matrix on Lobatto nodes (Trefethen form)."""
     n = len(nodes) - 1

@@ -53,13 +53,6 @@ class Scaled:
         """log |value|; -inf for zero."""
         return -math.inf if self.m == 0 else self.s + math.log(abs(self.m))
 
-    def to_complex(self):
-        if self.m == 0:
-            return 0j
-        if self.s > 690.0:
-            raise OverflowError(f"scaled value exp({self.s:.1f}) exceeds float range")
-        return self.m * math.exp(self.s)
-
 
 def _coerce(x):
     return x if isinstance(x, Scaled) else Scaled.from_complex(x)

@@ -7,6 +7,7 @@ from couettelab.grid import build_diff_ops, build_grid, default_order, l2_norm
 from couettelab import evolution as E
 from couettelab.harness import spectrum
 from couettelab.resolvent import ResolventCase
+from couettelab.weights import rho_k
 
 
 def mkgrid(nu, k):
@@ -100,6 +101,21 @@ def test_influence_matrix_guard(monkeypatch):
         E.CrankNicolson(1e-3, 1, "non_slip", 0.05, g, ops)
     # vorticity-Dirichlet walls use no influence matrix
     E.CrankNicolson(1e-3, 1, "navier_slip", 0.05, g, ops)
+
+
+@pytest.mark.parametrize("bc", ["navier_slip", "non_slip"])
+def test_advance_matches_steps(bc):
+    nu, k = 1e-3, 2
+    g, ops = mkgrid(nu, k)
+    stepper = E.CrankNicolson(nu, k, bc, E.dt_accuracy_bound(nu, k), g, ops)
+    w = moment_free_data(g, ops, k)
+    ref = [w]
+    for _ in range(5):
+        ref.append(stepper.step(ref[-1]))
+    # full strides by a kept power (switching strides), partial ones step by step
+    for j, stride in ((3, 3), (2, 2), (3, 3), (2, 3), (5, 1), (1, 1)):
+        out = stepper.advance(w, j, stride)
+        assert np.linalg.norm(out - ref[j]) <= 1e-12 * np.linalg.norm(ref[j]), (j, stride)
 
 
 def test_navier_energy_dissipation_per_step():
@@ -274,3 +290,98 @@ def test_moment_violation_reported_not_asserted(capsys):
     led, _ = E.run(case, g, ops, store_every=2, auto_extend=False)
     print(f"space-time ratio under 1e-3 moment violation: "
           f"{E.space_time_ratio(led, nu, k):.3f} (reported, not asserted)")
+
+
+def step_recurrence_run(case, g, ops, store_every, auto_extend):
+    """Reference for an unforced run: one CrankNicolson.step per dt and a
+    ledger evaluated sample by sample."""
+    nu, k = case.nu, case.k
+    stepper = E.CrankNicolson(nu, k, case.bc, case.dt, g, ops)
+    q = g.quad_weights
+    rho = rho_k(g.nodes, (abs(k) / nu) ** (1 / 3))
+    n = g.n_points
+    elliptic = ops.d2 - k**2 * np.eye(n)
+    elliptic[[0, -1]] = np.eye(n)[[0, -1]]
+    interior = np.ones(n)
+    interior[[0, -1]] = 0.0
+    w = np.asarray(case.omega0, dtype=complex)
+    w0_l2 = l2_norm(g, w)
+    samples = []
+
+    def sample(t, w):
+        phi = np.linalg.solve(elliptic, w * interior)
+        umod2 = np.abs(ops.d1 @ phi) ** 2 + np.abs(k * phi) ** 2
+        w2 = np.abs(w) ** 2
+        samples.append((t, q @ umod2, q @ w2, q @ (rho * w2),
+                        q @ ((1 - np.abs(g.nodes)) * w2), umod2.max()))
+
+    sample(0.0, w)
+    t, steps = 0.0, 0
+    while True:
+        w = stepper.step(w)
+        t += case.dt
+        steps += 1
+        if steps % store_every == 0 or t >= case.t_end:
+            sample(t, w)
+        if t >= case.t_end and (not auto_extend or l2_norm(g, w) <= 1e-4 * w0_l2):
+            break
+    ts, u2, w2, rho_w2, bw2, umax = map(np.array, zip(*samples))
+
+    def l2_in_time(v):
+        return math.sqrt(np.sum(0.5 * np.diff(ts) * (v[1:] + v[:-1])))
+    fields = dict(u_linf_linf=math.sqrt(umax.max()), u_l2l2=l2_in_time(u2),
+                  w_l2l2=l2_in_time(w2), w_linf_l2=math.sqrt(w2.max()),
+                  boundary_w_linf_l2=math.sqrt(bw2.max()),
+                  rho_half_l2l2=l2_in_time(rho_w2), t_final=ts[-1],
+                  data_l2=w0_l2,
+                  data_dy_l2=l2_norm(g, ops.d1 @ np.asarray(case.omega0)))
+    return fields, list(ts), np.sqrt(w2), w
+
+
+@pytest.mark.parametrize("auto_extend", [False, True])
+@pytest.mark.parametrize("store_every", [1, 2, 3, 10**9])
+@pytest.mark.parametrize("bc", ["non_slip", "navier_slip"])
+def test_unforced_run_matches_step_recurrence(bc, store_every, auto_extend):
+    # 200 steps: 201, 101 and 68 samples at store_every = 1, 2, 3 (the last
+    # after a 2-step tail), so the 64-sample ledger blocks end mid-block;
+    # auto_extend adds hundreds more, one per step
+    nu, k = 1e-3, 1
+    g, ops = mkgrid(nu, k)
+    dt = E.dt_accuracy_bound(nu, k)
+    case = E.EvolutionCase(nu=nu, k=k, omega0=moment_free_data(g, ops, k), dt=dt,
+                           t_end=200 * dt, bc=bc, check_moments=(bc == "non_slip"))
+    fields, ts, decay, w_ref = step_recurrence_run(case, g, ops, store_every,
+                                                   auto_extend)
+    led, w = E.run(case, g, ops, store_every=store_every, auto_extend=auto_extend)
+    assert [s[0] for s in led.decay_samples] == ts
+    assert len(ts) > 64 or store_every == 10**9
+    got = np.array([s[1] for s in led.decay_samples])
+    assert np.all(np.abs(got - decay) <= 1e-12 * decay)
+    for name, ref in fields.items():
+        assert abs(getattr(led, name) - ref) <= 1e-12 * ref, name
+    assert led.forcing_f1_l2l2 == led.forcing_f2_l2l2 == 0.0
+    assert np.linalg.norm(w - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
+
+
+@pytest.mark.parametrize("bc, check_moments, match", [
+    ("non_slip", True, "wall moments: nan"),
+    ("non_slip", False, "non-finite vorticity .* at k = 1"),
+    ("navier_slip", False, "non-finite vorticity .* at k = 1"),
+])
+def test_nan_initial_vorticity_raises(bc, check_moments, match):
+    g, ops = mkgrid(1e-3, 1)
+    w0 = moment_free_data(g, ops, 1)
+    w0[g.n_points // 2] = np.nan
+    case = E.EvolutionCase(nu=1e-3, k=1, omega0=w0, dt=0.05, t_end=1.0, bc=bc,
+                           check_moments=check_moments)
+    with pytest.raises(ValueError, match=match):
+        E.run(case, g, ops, store_every=2)
+
+
+def test_unforced_auto_extend_run_stops_at_max_steps(monkeypatch):
+    g, ops = mkgrid(1e-3, 1)
+    case = E.EvolutionCase(nu=1e-3, k=1, omega0=moment_free_data(g, ops, 1),
+                           dt=0.05, t_end=1.0, bc="non_slip")
+    monkeypatch.setattr(E, "MAX_STEPS", 50)
+    with pytest.raises(RuntimeError, match="MAX_STEPS"):
+        E.run(case, g, ops, store_every=3)
