@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .grid import l2_norm, quadrature, real_apply, wall_moment_rows
+from .grid import (border_dirichlet, l2_norm, quadrature, real_apply,
+                   wall_moment_rows)
 from .resolvent import EllipticSolver, recover_velocity
 from .weights import rho_k
 
@@ -24,6 +25,12 @@ MAX_STEPS = 400_000
 
 #: Largest admissible condition number of the 2x2 influence matrix.
 INFLUENCE_COND_MAX = 1e8
+
+#: Largest admissible relative imaginary part (Frobenius) of Q^H M+ Q; on
+#: Lobatto nodes it is rounding, ~3e-14 at N = 346.
+REFLECTION_RESIDUE_MAX = 1e-12
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def dt_accuracy_bound(nu, k):
@@ -60,42 +67,104 @@ def moment_violation(omega, k, grid):
                for s in (1, -1)) / (math.exp(abs(k)) * l1)
 
 
+def to_real_frame(w):
+    """Q^H w along the last axis.
+
+    L = nu(k^2 - d2) + iky on the symmetric Lobatto nodes is centrohermitian,
+    J conj(L) J = L with J the node reversal, and so are the bordered CN
+    matrices built from it.  The sparse unitary Q takes such a matrix to a
+    real one, Q^H M Q (A. Lee, Linear Algebra Appl. 29, 1980).  With a and b
+    the top and bottom halves of w,
+
+        Q^H w = [(a + J b)/sqrt 2, middle node (n odd), -i (a - J b)/sqrt 2].
+    """
+    w = np.asarray(w)
+    n = w.shape[-1]
+    h = n // 2
+    a, jb = w[..., :h], w[..., ::-1][..., :h]
+    z = np.empty(w.shape, dtype=complex)
+    z[..., :h] = _SQRT_HALF * (a + jb)
+    z[..., h:n - h] = w[..., h:n - h]
+    z[..., n - h:] = -1j * _SQRT_HALF * (a - jb)
+    return z
+
+
+def from_real_frame(z):
+    """Q z along the last axis, the inverse of `to_real_frame`."""
+    n = z.shape[-1]
+    h = n // 2
+    p, q = z[..., :h], z[..., n - h:]
+    w = np.empty(z.shape, dtype=complex)
+    w[..., :h] = _SQRT_HALF * (p + 1j * q)
+    w[..., h:n - h] = z[..., h:n - h]
+    w[..., n - h:] = (_SQRT_HALF * (p - 1j * q))[..., ::-1]
+    return w
+
+
+def real_form(m):
+    """Q^H m Q by O(n^2) slicing (complex; real when m is centrohermitian)."""
+    return np.conj(to_real_frame(np.conj(to_real_frame(m.T).T)))
+
+
+def frame_apply(s, w):
+    """Q s Q^H w for a real-frame matrix s: s (n, n) with w (n,), or a stack
+    s (m, n, n) applied row by row to a block w (m, n).  The product runs on
+    the float64 view of Q^H w, one (batched) real matmul."""
+    z = to_real_frame(w)
+    out = np.matmul(s, z.view(np.float64).reshape(z.shape + (2,)))
+    return from_real_frame(out.view(complex)[..., 0])
+
+
 class CrankNicolson:
     """One-step CN propagator with either wall treatment.
 
     With L = nu(k^2 - d2) + iky, the explicit half M- = 1 - dt L/2 is the
-    real matrix (dt nu/2) d2 plus a complex diagonal, applied as one real
-    product with the shared d2.  Set-up folds the inverse of the
-    wall-bordered M+ = 1 + dt L/2 and, under velocity Dirichlet, the
-    influence-matrix correction into one complex propagator S and an (N, 2)
-    gain G for the wall-moment targets:
+    real matrix m_minus_d2 * d2 plus the complex diagonal m_minus_diag,
+    applied as one real product with the shared d2.  Set-up builds the
+    wall-bordered M+ = 1 + dt L/2 in the real frame of `to_real_frame`,
+    inverts it as a real matrix and folds in, under velocity Dirichlet, the
+    influence-matrix correction: a real propagator S (`propagator`, in the
+    frame) and a complex node-space (N, 2) gain G for the wall-moment
+    targets,
 
-        w' = S (M- w + dt r) + G targets,
+        w' = Q S Q^H (M- w + dt r) + G targets,
 
-    so a step is one real product, one diagonal and one complex mat-vec;
-    no LU is kept.  An unforced step with zero targets is w' = P w with
-    P = S M-, built on first use (`step_matrix`); `advance` applies P^j.
+    so a step is one real d2 product, one diagonal, O(N) frame transforms
+    and one real mat-vec on the float64 view; no LU and no complex N x N
+    matrix is kept.  An unforced step with zero targets is w' = Q P Q^H w
+    with the real P = S M- in the frame, built on first use
+    (`step_matrix`); `advance` applies P^j.
     """
 
     def __init__(self, nu, k, bc, dt, grid, ops):
         self.nu, self.k, self.bc, self.dt = nu, k, bc, dt
         self.grid, self.ops = grid, ops
         n = grid.n_points
-        self._m_minus_diag = 1.0 - 0.5 * dt * (nu * k**2 + 1j * k * grid.nodes)
-        self._m_minus_d2 = 0.5 * dt * nu
-        m_plus = np.diag(1.0 + 0.5 * dt * (nu * k**2 + 1j * k * grid.nodes)) \
-            - 0.5 * dt * nu * ops.d2
-        for i in (0, n - 1):
-            m_plus[i, :] = 0.0
-            m_plus[i, i] = 1.0
-        prop = sla.lu_solve(sla.lu_factor(m_plus), np.eye(n))
-        walls = [0, n - 1]
-        infl_cols = prop[:, walls]
+        self.m_minus_diag = 1.0 - 0.5 * dt * (nu * k**2 + 1j * k * grid.nodes)
+        self.m_minus_d2 = 0.5 * dt * nu
+        m_plus = real_form(border_dirichlet(
+            np.diag(1.0 + 0.5 * dt * (nu * k**2 + 1j * k * grid.nodes))
+            - 0.5 * dt * nu * ops.d2))
+        residue = np.linalg.norm(m_plus.imag) / np.linalg.norm(m_plus.real)
+        self.reflection_residue = float(residue)
+        if not residue <= REFLECTION_RESIDUE_MAX:
+            raise RuntimeError(
+                f"M+ is not reflection symmetric at k = {k}, nu = {nu:g}, N = {n}: "
+                f"relative imaginary residue of its real form {residue:.3g} > "
+                f"{REFLECTION_RESIDUE_MAX:g}")
+        prop = sla.inv(m_plus.real)
+        # frame coordinates of the wall nodes; Q^H [e_0, e_{n-1}] is
+        # [[1, 1], [-i, i]] / sqrt 2 on them
+        walls = [0, n - n // 2]
+        wall_cols = prop[:, walls]
         # the wall entries of the right-hand side are replaced by the bordering
         prop[:, walls] = 0.0
         self.gain = None
-        self._wall_cols = infl_cols
+        # S M+ = 1 - left @ right in the frame, a rank-2 wall term (step_matrix)
+        self._wall_term = (wall_cols, np.eye(n)[walls])
         if bc == "non_slip":
+            infl_cols = from_real_frame(
+                (wall_cols @ (_SQRT_HALF * np.array([[1, 1], [-1j, 1j]]))).T).T
             mom = wall_moment_rows(grid, k)
             infl_mat = real_apply(mom, infl_cols)
             cond = np.linalg.cond(infl_mat)
@@ -104,14 +173,19 @@ class CrankNicolson:
                     f"ill-conditioned influence matrix at k = {k}, nu = {nu:g}, "
                     f"dt = {dt:g}: cond = {cond:.3g} > {INFLUENCE_COND_MAX:g}")
             self.gain = np.linalg.solve(infl_mat.T, infl_cols.T).T
-            prop -= self.gain @ real_apply(mom, prop)
-        self.propagator = np.ascontiguousarray(prop)   # row-major: faster mat-vec
+            # Q^H G R Q is real: its real part as one (N, 4) x (4, N) product
+            gain_q = to_real_frame(self.gain.T).T
+            mom_q = np.conj(to_real_frame(mom))
+            self._wall_term = (np.hstack([gain_q.real, -gain_q.imag]),
+                               np.vstack([mom_q.real, mom_q.imag]))
+            prop -= self._wall_term[0] @ (self._wall_term[1] @ prop)
+        self.propagator = prop
         self.elliptic = EllipticSolver(grid, ops, k)
         self._stride_power = None                       # (s, P^s) once s > 1 is used
 
     @cached_property
     def step_matrix(self):
-        """P = S M-, one unforced step with zero moment targets.
+        """P = S M- in the real frame, one unforced step with zero targets.
 
         M- = 2 - M+, and S M+ is the identity but for a rank-2 wall term:
         1 - G R (R the wall-moment rows) under velocity Dirichlet, and
@@ -120,10 +194,8 @@ class CrankNicolson:
         """
         p = 2.0 * self.propagator
         p[np.diag_indices_from(p)] -= 1.0
-        if self.gain is not None:
-            p += self.gain @ wall_moment_rows(self.grid, self.k)
-        else:
-            p[:, [0, -1]] += self._wall_cols
+        left, right = self._wall_term
+        p += left @ right
         return p
 
     def advance(self, w, j, stride):
@@ -131,22 +203,24 @@ class CrankNicolson:
 
         A full stride (j == stride) is one product with P^stride, computed by
         `matrix_power` on first use and kept; any other j applies P j times.
+        Both run in the real frame, between one transform in and one out.
         """
         if not np.isfinite(w).all():
             raise ValueError(f"non-finite vorticity in the CN advance at k = {self.k}")
+        z = to_real_frame(w)
         if j == stride and stride > 1:
             if self._stride_power is None or self._stride_power[0] != stride:
                 self._stride_power = (
                     stride, np.linalg.matrix_power(self.step_matrix, stride))
-            return self._stride_power[1] @ w
+            return from_real_frame(real_apply(self._stride_power[1], z))
         p = self.step_matrix
         for _ in range(j):
-            w = p @ w
-        return w
+            z = real_apply(p, z)
+        return from_real_frame(z)
 
     def apply_m_minus(self, w):
         """M- w: the diagonal part plus the shared real d2 product."""
-        return self._m_minus_diag * w + self._m_minus_d2 * real_apply(self.ops.d2, w)
+        return self.m_minus_diag * w + self.m_minus_d2 * real_apply(self.ops.d2, w)
 
     def step(self, w, rhs_mid=None, moment_targets=(0.0, 0.0)):
         """Advance one dt.  rhs_mid is the time-centered forcing (nodal);
@@ -156,7 +230,7 @@ class CrankNicolson:
             rhs += self.dt * rhs_mid
         if not np.isfinite(rhs[1:-1]).all():
             raise ValueError(f"non-finite CN right-hand side at k = {self.k}")
-        w_new = self.propagator @ rhs
+        w_new = frame_apply(self.propagator, rhs)
         if self.gain is not None:
             w_new += self.gain @ np.asarray(moment_targets, dtype=complex)
         return w_new

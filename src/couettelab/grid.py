@@ -147,6 +147,14 @@ def real_apply(a, x):
     return out.view(complex).reshape(a.shape[:1] + x.shape[1:])
 
 
+def border_dirichlet(a):
+    """Replace the rows of a at y = +-1 by the identity rows of w(+-1) = 0,
+    in place; returns a."""
+    a[[0, -1]] = 0.0
+    a[0, 0] = a[-1, -1] = 1.0
+    return a
+
+
 def wall_moment_rows(grid, k):
     """(2, n) quadrature rows of the wall moments <w, e^{+ky}>, <w, e^{-ky}>."""
     q, y = grid.quad_weights, grid.nodes

@@ -24,7 +24,7 @@ from .grid import (build_diff_ops, build_grid, default_order, l1_norm, l2_norm,
 from .norms import norms
 from .resolvent import (EPSILON_MAX, EllipticSolver, ResolventCase,
                         ResolventSolution, airy_admissible, airy_kernels,
-                        bordered_vorticity_matrix, direct_forcing,
+                        bordered_vorticity_matrix, coefficients, direct_forcing,
                         homogeneous_airy, homogeneous_bvp, pair_forcing,
                         recover_velocity, solve_nonslip, write_shear)
 from .weights import cutoff_chi, rho_k
@@ -428,34 +428,28 @@ def verify_c_bounds(nu, k, lambdas=None, forcing_key="exp_ipiy", n_override=None
             -1.0 + np.linspace(-1.0, 1.0, 9) / abs(k),
         ])
     g, ops = _grid_for(nu, k, n_override)
-    ell = EllipticSolver(g, ops, k)
     fvals = FORCINGS[forcing_key](g.nodes)
     fnorm = l2_norm(g, fvals)
     out = {"c1_l2": 0.0, "c2_l2": 0.0, "c1_hm1": 0.0, "c2_hm1": 0.0}
-    cases = [ResolventCase(nu=nu, k=k, lam=float(lam), bc="non_slip")
-             for lam in lambdas]
-    # one Airy batch for the grid, one pair per lambda for both forcings;
-    # without the Airy hypothesis (it does not depend on lambda)
-    # solve_nonslip takes the monolithic path, which needs no pair
-    airy = airy_admissible(ResolventCase(nu=nu, k=k, bc="non_slip"))
-    kernels = airy_kernels(cases, g) if airy else [None] * len(cases)
-    for lam, case, kern in zip(lambdas, cases, kernels):
-        pair = None if kern is None else homogeneous_airy(
-            case, g, ops, elliptic=ell, kernels=kern)
-        sol = solve_nonslip(case, direct_forcing(fvals), g, ops, elliptic=ell,
-                            pair=pair)
-        scale = nu ** (-1 / 6) * abs(k) ** (-5 / 6) * fnorm
-        out["c1_l2"] = max(out["c1_l2"],
-                           (1 + abs(k * (lam - 1))) * abs(sol.c1) / scale)
-        out["c2_l2"] = max(out["c2_l2"],
-                           (1 + abs(k * (lam + 1))) * abs(sol.c2) / scale)
-        sol = solve_nonslip(case, pair_forcing(f2=fvals), g, ops, elliptic=ell,
-                            pair=pair)
-        scale = nu ** (-0.5) * abs(k) ** (-0.5) * fnorm
-        out["c1_hm1"] = max(out["c1_hm1"],
-                            (1 + abs(k * (lam - 1))) ** 0.75 * abs(sol.c1) / scale)
-        out["c2_hm1"] = max(out["c2_hm1"],
-                            (1 + abs(k * (lam + 1))) ** 0.75 * abs(sol.c2) / scale)
+    # c1 and c2 are sinh moments of the vorticity-Dirichlet solution alone
+    # (resolvent.coefficients), so no homogeneous pair is built; both
+    # forcings share one factorization of the bordered operator per lambda
+    case = ResolventCase(nu=nu, k=k, bc="non_slip")
+    rhs = np.column_stack([f.nodal_rhs(case, g, ops) for f in
+                           (direct_forcing(fvals), pair_forcing(f2=fvals))])
+    rhs[[0, -1]] = 0.0
+    operator = bordered_vorticity_matrix(case, g, ops)
+    scale_l2 = nu ** (-1 / 6) * abs(k) ** (-5 / 6) * fnorm
+    scale_hm1 = nu ** (-0.5) * abs(k) ** (-0.5) * fnorm
+    for lam in lambdas:
+        a = write_shear(operator.copy(order="F"), replace(case, lam=float(lam)), g)
+        w = sla.lu_solve(sla.lu_factor(a, overwrite_a=True), rhs)
+        (c1, c2), (p1, p2) = (coefficients(w[:, j], k, g) for j in (0, 1))
+        w1, w2 = 1 + abs(k * (lam - 1)), 1 + abs(k * (lam + 1))
+        out["c1_l2"] = max(out["c1_l2"], w1 * abs(c1) / scale_l2)
+        out["c2_l2"] = max(out["c2_l2"], w2 * abs(c2) / scale_l2)
+        out["c1_hm1"] = max(out["c1_hm1"], w1 ** 0.75 * abs(p1) / scale_hm1)
+        out["c2_hm1"] = max(out["c2_hm1"], w2 ** 0.75 * abs(p2) / scale_hm1)
     return out, g.order
 
 

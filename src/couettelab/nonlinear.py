@@ -7,8 +7,9 @@ Mode k vorticity (velocity-Dirichlet walls, enforced as wall moments):
 
 with the streamwise mean obeying (d/dt - nu d2) ubar = -f2_0, ubar(+-1) = 0.
 Linear parts step by Crank-Nicolson with the influence-matrix wall treatment
-(the same propagator the linear evolution module uses); the quadratic terms
-are explicit second-order Adams-Bashforth, dealiased by zero padding in x.
+(the same real-frame propagators the linear evolution module uses, applied to
+all modes as one block); the quadratic terms are explicit second-order
+Adams-Bashforth, dealiased by zero padding in x.
 """
 
 import math
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .evolution import CrankNicolson, dt_accuracy_bound
-from .grid import l2_norm, quadrature, real_apply
+from .evolution import CrankNicolson, dt_accuracy_bound, frame_apply
+from .grid import border_dirichlet, l2_norm, quadrature, real_apply
 from .resolvent import recover_velocity
 
 BLOWUP_GUARD = 1e8
@@ -99,151 +100,161 @@ def _h2_norm_of_mode(phi_k, k, grid, ops):
 
 
 class SpectralLab:
-    """Workspace holding per-mode propagators and the dealiased product rule."""
+    """Workspace for the k = 1..k_max modes as one (k_max, N) block.
+
+    It keeps the stacked real-frame CN propagators and real elliptic
+    inverses of the modes (one batched real matmul each per step), the mean
+    flow's heat matrices and the dealiased product rule.
+    """
 
     def __init__(self, nu, k_max, grid, ops, dt):
         self.nu, self.k_max, self.dt = nu, k_max, dt
         self.grid, self.ops = grid, ops
-        self.steppers = {k: CrankNicolson(nu, k, "non_slip", dt, grid, ops)
-                         for k in range(1, k_max + 1)}
-        self.elliptic = {k: self.steppers[k].elliptic for k in range(1, k_max + 1)}
         n = grid.n_points
-        heat = np.eye(n) - 0.5 * dt * nu * ops.d2
-        heat[0, :] = 0.0
-        heat[0, 0] = 1.0
-        heat[-1, :] = 0.0
-        heat[-1, -1] = 1.0
-        self._heat_lu = sla.lu_factor(heat)
+        self._ks = np.arange(1, k_max + 1)
+        self._propagators = np.empty((k_max, n, n))
+        self._inverses = np.empty((k_max, n, n))
+        self._m_minus_diag = np.empty((k_max, n), dtype=complex)
+        for k in range(1, k_max + 1):
+            cn = CrankNicolson(nu, k, "non_slip", dt, grid, ops)
+            self._propagators[k - 1] = cn.propagator
+            self._inverses[k - 1] = cn.elliptic.inverse
+            self._m_minus_diag[k - 1] = cn.m_minus_diag
+        self._m_minus_d2 = cn.m_minus_d2
+        # the mean flow's kept inverse; its zeroed wall columns drop the wall
+        # entries of the right-hand side, which the bordering replaces
+        self._heat_inverse = sla.inv(
+            border_dirichlet(np.eye(n) - 0.5 * dt * nu * ops.d2))
+        self._heat_inverse[:, [0, -1]] = 0.0
         self._heat_minus = np.eye(n) + 0.5 * dt * nu * ops.d2
         self.m_pad = pad_modes(k_max)
-        self._velocities_of = (None, None)   # (state, its velocities)
+        self._evaluated = (None, None, None)   # (state, its velocities, blocks)
 
     def velocities(self, state):
         """Per-mode velocity arrays for k = 0..k_max (k = 0 is the mean).
 
-        The stream functions of all modes go through one d/dy product.  The
-        result for the last state object asked about is kept, so a sampled
-        step's energy and the next step's right-hand side share one
-        evaluation; states are not modified once built."""
-        if self._velocities_of[0] is state:
-            return self._velocities_of[1]
-        ks = np.arange(1, self.k_max + 1)
-        phi = np.column_stack([self.elliptic[k].solve(state.modes[k]) for k in ks])
-        u1, u2 = recover_velocity(phi, ks, self.ops)
-        out = {0: (state.mean_shear.astype(complex), np.zeros_like(state.mean_shear, dtype=complex))}
-        out.update({k: (u1[:, k - 1], u2[:, k - 1]) for k in ks})
-        self._velocities_of = (state, out)
-        return out
+        The elliptic solves of all modes are one batched real matmul and
+        their d/dy one real product.  The result for the last state object
+        asked about is kept, with its blocks (`blocks`), so a sampled step's
+        energy and the next step's right-hand side share one evaluation;
+        states are not modified once built."""
+        if self._evaluated[0] is not state:
+            km, n = self.k_max, self.grid.n_points
+            w = np.array([state.modes[k] for k in self._ks], dtype=complex)
+            if not np.isfinite(w[:, 1:-1]).all():
+                raise ValueError("non-finite vorticity in the elliptic solves")
+            phi = np.matmul(self._inverses, w.view(np.float64).reshape(km, n, 2))
+            phi = phi.view(complex).reshape(km, n)
+            u1, u2 = recover_velocity(phi.T, self._ks, self.ops)
+            u1, u2 = u1.T, u2.T
+            out = {0: (state.mean_shear.astype(complex),
+                       np.zeros_like(state.mean_shear, dtype=complex))}
+            out.update({k: (u1[k - 1], u2[k - 1]) for k in self._ks})
+            self._evaluated = (state, out, (w, u1, u2))
+        return self._evaluated[1]
+
+    def blocks(self, state):
+        """(w, u1, u2) of modes 1..k_max as (k_max, N) blocks (row k - 1 is
+        mode k), from the evaluation `velocities` keeps."""
+        self.velocities(state)
+        return self._evaluated[2]
 
     def nonlinear_rhs(self, state):
-        """Convolution forcings (f1_k, f2_k) for k = 0..k_max, dealiased.
+        """Convolution forcings (f1, f2), each a (k_max + 1, N) array whose
+        row k is mode k = 0..k_max, dealiased.
 
-        Zero-padded FFT in x realizes the truncated convolution exactly.
+        The fields are real, so zero-padded real FFTs in x realize the
+        truncated convolution exactly: one irfft of the three padded
+        coefficient sets and one rfft of the two products.
         """
-        m = self.m_pad
-        n = self.grid.n_points
-        km = self.k_max
-        vel = self.velocities(state)
-
-        def to_phys(coef):
-            return np.fft.ifft(coef, axis=0) * m
-
-        cu1 = np.zeros((m, n), dtype=complex)
-        cu2 = np.zeros((m, n), dtype=complex)
-        cw = np.zeros((m, n), dtype=complex)
-        cw[0] = self.ops.d1 @ state.mean_shear
-        cu1[0] = vel[0][0]
-        for k in range(1, km + 1):
-            u1, u2 = vel[k]
-            cu1[k], cu2[k], cw[k] = u1, u2, state.modes[k]
-            cu1[m - k], cu2[m - k], cw[m - k] = np.conj(u1), np.conj(u2), np.conj(state.modes[k])
-        pu1, pu2, pw = to_phys(cu1), to_phys(cu2), to_phys(cw)
-        f1 = np.fft.fft(pu1 * pw, axis=0) / m
-        f2 = np.fft.fft(pu2 * pw, axis=0) / m
-        return ({k: f1[k] for k in range(0, km + 1)},
-                {k: f2[k] for k in range(0, km + 1)})
+        m, km = self.m_pad, self.k_max
+        w, u1, u2 = self.blocks(state)
+        coef = np.zeros((3, m // 2 + 1, self.grid.n_points), dtype=complex)
+        coef[0, 0] = state.mean_shear
+        coef[2, 0] = self.ops.d1 @ state.mean_shear
+        coef[0, 1:km + 1], coef[1, 1:km + 1], coef[2, 1:km + 1] = u1, u2, w
+        pu1, pu2, pw = np.fft.irfft(coef, n=m, axis=1) * m
+        f = np.fft.rfft(np.stack([pu1 * pw, pu2 * pw]), axis=1)[:, :km + 1] / m
+        return f[0], f[1]
 
     def rhs_vectors(self, state):
-        """Nodal right-hand sides: per-mode -ik f1_k - d f2_k/dy and the
-        mean forcing -f2_0."""
+        """Nodal right-hand sides as a (k_max + 1, N) array: row k >= 1 is
+        -ik f1_k - d f2_k/dy, row 0 the mean forcing -f2_0; returned with
+        that row."""
         f1, f2 = self.nonlinear_rhs(state)
-        ks = range(1, self.k_max + 1)
-        df2 = real_apply(self.ops.d1, np.column_stack([f2[k] for k in ks]))
-        rhs = {k: -1j * k * f1[k] - df2[:, k - 1] for k in ks}
-        return rhs, -f2[0]
+        rhs = np.empty_like(f1)
+        rhs[0] = -f2[0]
+        rhs[1:] = -1j * self._ks[:, None] * f1[1:] - real_apply(self.ops.d1, f2[1:].T).T
+        return rhs, rhs[0]
 
     def advance(self, state, rhs_prev=None):
         """One CN + AB2 step; returns (new state, rhs for the next AB2 leg)."""
         rhs, mean_rhs = self.rhs_vectors(state)
-        modes = {}
-        for k in range(1, self.k_max + 1):
-            if rhs_prev is None:
-                explicit = rhs[k]
-            else:
-                explicit = 1.5 * rhs[k] - 0.5 * rhs_prev[0][k]
-            wk = self.steppers[k].step(state.modes[k], rhs_mid=explicit)
-            peak = np.max(np.abs(wk))
-            if not np.isfinite(peak) or peak > BLOWUP_GUARD:
-                raise BlowupError(f"mode {k} exceeded the blow-up guard")
-            modes[k] = wk
-            modes[-k] = np.conj(wk)
-        if rhs_prev is None:
-            explicit_mean = mean_rhs
-        else:
-            explicit_mean = 1.5 * mean_rhs - 0.5 * rhs_prev[1]
-        rhs_mean = self._heat_minus @ state.mean_shear + self.dt * explicit_mean.real
-        rhs_mean[0] = rhs_mean[-1] = 0.0
-        mean = sla.lu_solve(self._heat_lu, rhs_mean)
-        modes[0] = np.zeros_like(mean, dtype=complex)
-        new = PerturbationState(modes=modes, mean_shear=mean,
+        explicit = rhs if rhs_prev is None else 1.5 * rhs - 0.5 * rhs_prev[0]
+        w = self.blocks(state)[0]
+        b = (self._m_minus_diag * w
+             + self._m_minus_d2 * real_apply(self.ops.d2, w.T).T
+             + self.dt * explicit[1:])
+        if not np.isfinite(b[:, 1:-1]).all():
+            raise ValueError("non-finite CN right-hand side in the mode block")
+        w_new = frame_apply(self._propagators, b)
+        over = ~(np.abs(w_new).max(axis=1) <= BLOWUP_GUARD)
+        if over.any():
+            raise BlowupError(f"mode {int(np.argmax(over)) + 1} exceeded the blow-up guard")
+        conj = np.conj(w_new)
+        modes = {0: np.zeros(self.grid.n_points, dtype=complex)}
+        for k in self._ks:
+            modes[k], modes[-k] = w_new[k - 1], conj[k - 1]
+        rhs_mean = self._heat_minus @ state.mean_shear + self.dt * explicit[0].real
+        new = PerturbationState(modes=modes, mean_shear=self._heat_inverse @ rhs_mean,
                                 time=state.time + self.dt)
         return new, (rhs, mean_rhs)
 
 
 class EnergyAccumulator:
-    """Running space-time pieces of the per-mode energy functional."""
+    """Running space-time pieces of the per-mode energy functional.
+
+    The per-mode pieces are arrays indexed by k (entry 0 unused); `take`
+    evaluates each quadrature once over the (k_max, N) mode block.
+    """
 
     def __init__(self, nu, k_max, grid, ops):
         self.nu, self.k_max = nu, k_max
         self.grid, self.ops = grid, ops
         self.bw = 1.0 - np.abs(grid.nodes)
-        self.sup_bw = {k: 0.0 for k in range(1, k_max + 1)}
-        self.sup_uinf = {k: 0.0 for k in range(1, k_max + 1)}
-        self.int_u2 = {k: 0.0 for k in range(1, k_max + 1)}
-        self.int_w2 = {k: 0.0 for k in range(1, k_max + 1)}
+        self.sup_bw = np.zeros(k_max + 1)
+        self.sup_uinf = np.zeros(k_max + 1)
+        self.int_u2 = np.zeros(k_max + 1)
+        self.int_w2 = np.zeros(k_max + 1)
         self.sup_mean = 0.0
         self._prev = None
 
     def take(self, lab, state):
         g = self.grid
         t = state.time
-        cur_u2, cur_w2 = {}, {}
-        vel = lab.velocities(state)
-        for k in range(1, self.k_max + 1):
-            wk = state.modes[k]
-            u1, u2 = vel[k]
-            umod2 = np.abs(u1) ** 2 + np.abs(u2) ** 2
-            self.sup_bw[k] = max(self.sup_bw[k], math.sqrt(abs(
-                quadrature(g, self.bw * np.abs(wk) ** 2))))
-            self.sup_uinf[k] = max(self.sup_uinf[k], math.sqrt(float(np.max(umod2))))
-            cur_u2[k] = abs(quadrature(g, umod2))
-            cur_w2[k] = abs(quadrature(g, np.abs(wk) ** 2))
+        w, u1, u2 = lab.blocks(state)
+        umod2 = np.abs(u1) ** 2 + np.abs(u2) ** 2
+        w2 = np.abs(w) ** 2
+        self.sup_bw[1:] = np.maximum(self.sup_bw[1:],
+                                     np.sqrt(np.abs((self.bw * w2) @ g.quad_weights)))
+        self.sup_uinf[1:] = np.maximum(self.sup_uinf[1:], np.sqrt(umod2.max(axis=1)))
+        cur_u2 = np.abs(umod2 @ g.quad_weights)
+        cur_w2 = np.abs(w2 @ g.quad_weights)
         self.sup_mean = max(self.sup_mean, l2_norm(g, self.ops.d1 @ state.mean_shear))
         if self._prev is not None:
             t0, pu, pw = self._prev
             h = 0.5 * (t - t0)
-            for k in cur_u2:
-                self.int_u2[k] += h * (pu[k] + cur_u2[k])
-                self.int_w2[k] += h * (pw[k] + cur_w2[k])
+            self.int_u2[1:] += h * (pu + cur_u2)
+            self.int_w2[1:] += h * (pw + cur_w2)
         self._prev = (t, cur_u2, cur_w2)
 
     def energy(self):
         ek = {}
         for k in range(1, self.k_max + 1):
-            ek[k] = (self.sup_bw[k]
-                     + abs(k) * math.sqrt(self.int_u2[k])
-                     + abs(k) ** 0.5 * self.sup_uinf[k]
-                     + (self.nu * k**2) ** 0.25 * math.sqrt(self.int_w2[k]))
+            ek[k] = float(self.sup_bw[k]
+                          + abs(k) * math.sqrt(self.int_u2[k])
+                          + abs(k) ** 0.5 * self.sup_uinf[k]
+                          + (self.nu * k**2) ** 0.25 * math.sqrt(self.int_w2[k]))
         total = self.sup_mean + 2.0 * sum(ek.values())
         return EnergyFunctional(e0=self.sup_mean, ek=ek, total=total)
 

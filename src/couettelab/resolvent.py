@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .airy import airy_scaled
-from .grid import quadrature, real_apply
+from .grid import border_dirichlet, quadrature, real_apply
 from .scaled import Scaled, scaled_quadrature
 
 #: Largest admissible contour shift; the harness verifies C * EPSILON_MAX <= 1/2
@@ -151,7 +151,7 @@ class EllipticSolver:
     """Prefactored (d2 - k^2) phi = w with phi(+-1) = 0.
 
     The operator is real.  Set-up factors it in float64 and keeps its real
-    solution matrix, wall columns zeroed (the bordering replaces the wall
+    solution matrix `inverse`, wall columns zeroed (the bordering replaces the wall
     values of w); a solve applies it to the float64 view of w.  At N = 346
     on one BLAS thread that takes 30 us, against 200 us for triangular
     solves on the (N, 2) real view, in the same memory and with the same
@@ -160,20 +160,16 @@ class EllipticSolver:
 
     def __init__(self, grid, ops, k):
         n = grid.n_points
-        a = ops.d2 - k**2 * np.eye(n)
-        a[0, :] = 0.0
-        a[0, 0] = 1.0
-        a[-1, :] = 0.0
-        a[-1, -1] = 1.0
-        inv = sla.lu_solve(sla.lu_factor(a), np.eye(n))
+        inv = sla.lu_solve(sla.lu_factor(border_dirichlet(ops.d2 - k**2 * np.eye(n))),
+                           np.eye(n))
         inv[:, [0, -1]] = 0.0
-        self._inverse = np.ascontiguousarray(inv)
+        self.inverse = np.ascontiguousarray(inv)
 
     def solve(self, w):
         w = np.asarray(w)
         if not np.isfinite(w[1:-1]).all():
             raise ValueError("non-finite right-hand side in the elliptic solve")
-        return real_apply(self._inverse, w)
+        return real_apply(self.inverse, w)
 
 
 def recover_velocity(phi, k, ops):
@@ -211,11 +207,7 @@ def bordered_vorticity_matrix(case, grid, ops):
     place.  Only its interior imaginary diagonal k(y - lam) depends on lam;
     write_shear rewrites it for another lam.
     """
-    a = np.asfortranarray(vorticity_matrix(case, grid, ops))
-    for i in (0, grid.n_points - 1):
-        a[i, :] = 0.0
-        a[i, i] = 1.0
-    return a
+    return border_dirichlet(np.asfortranarray(vorticity_matrix(case, grid, ops)))
 
 
 def write_shear(a, case, grid):
@@ -237,14 +229,10 @@ def build_operator(case, grid, ops):
     if case.bc == "navier_slip":
         return BorderedOperator(matrix=bordered_vorticity_matrix(case, grid, ops),
                                 bc_rows=(0, n - 1), form="vorticity")
-    a = stream_matrix(case, grid, ops)
+    a = border_dirichlet(stream_matrix(case, grid, ops))   # phi(+-1) = 0
     rows = (0, 1, n - 2, n - 1)
-    a[0, :] = 0.0
-    a[0, 0] = 1.0                 # phi(1) = 0
     a[1, :] = ops.d1[0, :]        # phi'(1) = 0
     a[n - 2, :] = ops.d1[-1, :]   # phi'(-1) = 0
-    a[n - 1, :] = 0.0
-    a[n - 1, n - 1] = 1.0         # phi(-1) = 0
     return BorderedOperator(matrix=a, bc_rows=rows, form="stream")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -101,6 +102,84 @@ def test_influence_matrix_guard(monkeypatch):
         E.CrankNicolson(1e-3, 1, "non_slip", 0.05, g, ops)
     # vorticity-Dirichlet walls use no influence matrix
     E.CrankNicolson(1e-3, 1, "navier_slip", 0.05, g, ops)
+
+
+def dense_cn_matrices(nu, k, bc, dt, g, ops):
+    """Reference complex CN matrices in node space: the propagator S (wall
+    columns dropped, influence correction folded in), the moment gain G
+    (None under navier_slip) and the step matrix P = S M-, by dense inverses."""
+    n = g.n_points
+    eye = np.eye(n)
+    lmat = nu * (k**2 * eye - ops.d2) + 1j * k * np.diag(g.nodes)
+    m_plus = eye + 0.5 * dt * lmat
+    m_plus[[0, -1]] = eye[[0, -1]]
+    inv = np.linalg.inv(m_plus)
+    s = inv.copy()
+    s[:, [0, -1]] = 0.0
+    gain = None
+    if bc == "non_slip":
+        mom = np.vstack([g.quad_weights * np.exp(s_ * k * g.nodes) for s_ in (1, -1)])
+        gain = inv[:, [0, -1]] @ np.linalg.inv(mom @ inv[:, [0, -1]])
+        s = s - gain @ (mom @ s)
+    return s, gain, s @ (eye - 0.5 * dt * lmat)
+
+
+def frame_matrix(n):
+    """Dense Q, with Q z = from_real_frame(z)."""
+    return E.from_real_frame(np.eye(n)).T
+
+
+@pytest.mark.parametrize("order", [160, 161])          # odd and even n_points
+@pytest.mark.parametrize("bc", ["navier_slip", "non_slip"])
+def test_real_form_matches_dense_complex_construction(bc, order):
+    nu, k = 1e-3, 2
+    g = build_grid(order)
+    ops = build_diff_ops(g)
+    n = g.n_points
+    dt = E.dt_accuracy_bound(nu, k)
+    stepper = E.CrankNicolson(nu, k, bc, dt, g, ops)
+    assert stepper.propagator.dtype == np.float64
+    assert stepper.step_matrix.dtype == np.float64
+    assert stepper.reflection_residue <= 1e-13
+    q = frame_matrix(n)
+    assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-15
+    z = np.array([1, 1j]) @ np.random.default_rng(4).standard_normal((2, n))
+    assert np.abs(E.from_real_frame(E.to_real_frame(z)) - z).max() <= 1e-15
+    assert np.abs(E.to_real_frame(z) - q.conj().T @ z).max() <= 1e-15
+
+    s_ref, gain_ref, p_ref = dense_cn_matrices(nu, k, bc, dt, g, ops)
+
+    def rel(a, ref):
+        return np.linalg.norm(a - ref) / np.linalg.norm(ref)
+
+    assert rel(q @ stepper.propagator @ q.conj().T, s_ref) <= 1e-12
+    assert rel(q @ stepper.step_matrix @ q.conj().T, p_ref) <= 1e-12
+    stepper.advance(moment_free_data(g, ops, k), 5, 5)
+    assert rel(q @ stepper._stride_power[1] @ q.conj().T,
+               np.linalg.matrix_power(p_ref, 5)) <= 1e-12
+    if bc == "non_slip":
+        assert rel(stepper.gain, gain_ref) <= 1e-12
+    # a forced step with nonzero moment targets against the dense matrices
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    w = moment_free_data(g, ops, k) * np.polyval(c, g.nodes)
+    r = np.cos(np.pi * g.nodes / 2) * np.polyval(c[::-1], g.nodes)
+    targets = (0.3 - 0.2j, -0.1 + 0.4j)
+    ref = s_ref @ (stepper.apply_m_minus(w) + dt * r)
+    if bc == "non_slip":
+        ref += gain_ref @ np.array(targets)
+    out = stepper.step(w, rhs_mid=r, moment_targets=targets)
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_reflection_symmetry_guard():
+    g, ops = mkgrid(1e-3, 1)
+    d2 = ops.d2.copy()
+    d2[1, 2] += 1e-6 * np.abs(d2).max()       # breaks J d2 J = d2
+    bad = dataclasses.replace(ops, d2=d2)
+    with pytest.raises(RuntimeError, match=rf"not reflection symmetric at k = 1, "
+                       rf"nu = 0.001, N = {g.n_points}: relative imaginary residue"):
+        E.CrankNicolson(1e-3, 1, "navier_slip", 0.05, g, bad)
 
 
 @pytest.mark.parametrize("bc", ["navier_slip", "non_slip"])

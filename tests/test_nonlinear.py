@@ -158,9 +158,7 @@ def reference_advance(nu, kmax, g, ops, dt, st, rhs_prev):
     return modes, np.linalg.solve(heat, b), (rhs, mean_rhs)
 
 
-def test_advance_matches_per_mode_reference(setup):
-    nu, K, g, ops = setup
-    kmax = 4
+def check_advance_against_reference(nu, kmax, g, ops):
     dt = NL.dt_accuracy_bound(nu, kmax)
     lab = NL.SpectralLab(nu, kmax, g, ops, dt)
     # At 3% of multi_mode_state, dt times the quadratic term is ~2e-4 of the
@@ -182,6 +180,67 @@ def test_advance_matches_per_mode_reference(setup):
             assert np.abs(st.modes[k] - modes[k]).max() <= 1e-12 * scale, k
             assert np.array_equal(st.modes[-k], np.conj(st.modes[k]))
         assert np.abs(st.mean_shear - mean).max() <= 1e-12 * np.abs(mean).max()
+
+
+def test_advance_matches_per_mode_reference(setup):
+    nu, K, g, ops = setup
+    check_advance_against_reference(nu, 4, g, ops)
+
+
+@pytest.mark.parametrize("order", [160, 161])          # odd and even n_points
+def test_block_advance_matches_reference_at_kmax_8(order):
+    g = build_grid(order)
+    check_advance_against_reference(1e-3, 8, g, build_diff_ops(g))
+
+
+class PerModeEnergy(NL.EnergyAccumulator):
+    """EnergyAccumulator.take as a per-mode loop of quadratures."""
+
+    def take(self, lab, state):
+        g = self.grid
+        cur_u2, cur_w2 = {}, {}
+        vel = lab.velocities(state)
+        for k in range(1, self.k_max + 1):
+            wk = state.modes[k]
+            u1, u2 = vel[k]
+            umod2 = np.abs(u1) ** 2 + np.abs(u2) ** 2
+            self.sup_bw[k] = max(self.sup_bw[k], math.sqrt(abs(
+                quadrature(g, self.bw * np.abs(wk) ** 2))))
+            self.sup_uinf[k] = max(self.sup_uinf[k], math.sqrt(float(np.max(umod2))))
+            cur_u2[k] = abs(quadrature(g, umod2))
+            cur_w2[k] = abs(quadrature(g, np.abs(wk) ** 2))
+        self.sup_mean = max(self.sup_mean, l2_norm(g, self.ops.d1 @ state.mean_shear))
+        if self._prev is not None:
+            t0, pu, pw = self._prev
+            h = 0.5 * (state.time - t0)
+            for k in cur_u2:
+                self.int_u2[k] += h * (pu[k] + cur_u2[k])
+                self.int_w2[k] += h * (pw[k] + cur_w2[k])
+        self._prev = (state.time, cur_u2, cur_w2)
+
+
+def test_energy_block_quadratures_match_per_mode_loop(setup):
+    nu, K, g, ops = setup
+    lab = NL.SpectralLab(nu, K, g, ops, NL.dt_accuracy_bound(nu, K))
+    st = multi_mode_state(g, ops, K)
+    for k in range(1, K + 1):        # distinct mode sizes, so a mixed-up mode shows
+        st.modes[k] = st.modes[k] / k
+        st.modes[-k] = np.conj(st.modes[k])
+    block, loop = (cls(nu, K, g, ops) for cls in (NL.EnergyAccumulator, PerModeEnergy))
+    rhs = None
+    for _ in range(4):
+        for acc in (block, loop):
+            acc.take(lab, st)
+        st, rhs = lab.advance(st, rhs)
+    for name in ("sup_bw", "sup_uinf", "int_u2", "int_w2"):
+        ref = np.array([getattr(loop, name)[k] for k in range(1, K + 1)])
+        got = np.asarray(getattr(block, name))[1:]
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
+        assert np.all(ref > 0), name
+    e_block, e_loop = block.energy(), loop.energy()
+    assert abs(e_block.total - e_loop.total) <= 1e-13 * e_loop.total
+    for k in range(1, K + 1):
+        assert abs(e_block.ek[k] - e_loop.ek[k]) <= 1e-13 * e_loop.ek[k], k
 
 
 def test_velocities_reused_for_the_same_state(setup):
