@@ -5,7 +5,7 @@ Submodules:
 * grid        Chebyshev nodes, Clenshaw-Curtis weights, differentiation matrices
 * weights     wall-ramp and critical-layer weight/cutoff profiles
 * airy        complex Airy function, slanted primitive, damping factor
-* resolvent   vorticity/stream-function resolvent solves and homogeneous pairs
+* resolvent   vorticity-form resolvent solves and homogeneous pairs
 * norms       the norm bundle every estimate is stated in
 * harness     sweeps, scaling fits, spectra, weak-type pairing
 * evolution   Crank-Nicolson integration and space-time ledgers
@@ -20,7 +20,7 @@ from .grid import ChebGrid, DiffOps, build_diff_ops, build_grid, quadrature
 from .weights import WeightProfile, weight_values
 from .airy import AiryBundle, A0Value, DampingFactor, log_derivative_sup
 from .resolvent import (ResolventCase, ForcingSpec, ResolventSolution,
-                        HomogeneousPair, build_operator, coefficients,
+                        HomogeneousPair, coefficients,
                         homogeneous_airy, homogeneous_bvp, recover_velocity,
                         solve, solve_navier, solve_nonslip)
 from .norms import NormBundle

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import ztrsv
 
 from .grid import (build_diff_ops, build_grid, default_order, l1_norm, l2_norm,
                    quadrature, real_apply, wall_moment_rows)
@@ -68,16 +69,11 @@ def fit_loglog(name, xs, values, target, tolerance=0.05):
 class SweepSpec:
     nu_values: tuple
     k_values: tuple = (1,)
-    lambda_strategy: str = "sup_search"
-    lambdas: tuple = (0.0,)
-    forcing: str = "worst_case"
     bc: str = "navier_slip"
 
     def __post_init__(self):
         if len(self.nu_values) == 0 or len(self.k_values) == 0:
             raise ValueError("nu_values and k_values must be nonempty")
-        if self.lambda_strategy not in ("fixed_list", "sup_search"):
-            raise ValueError("unknown lambda strategy")
 
     def decades(self):
         lo, hi = min(self.nu_values), max(self.nu_values)
@@ -110,6 +106,20 @@ def enforce_resolution_rule(nu, k, n):
 
 
 # -- worst-case solution operators ------------------------------------------
+
+def _pivot_rows(piv):
+    """Where each row of b lands in P b, for the getrf pivots piv (P A = L U).
+
+    LAPACK swaps row i with row piv[i] for i = 0, 1, ...; the composed
+    permutation is inverted so that (P b)[rows[j]] = b[j].
+    """
+    perm = list(range(len(piv)))
+    for i, p in enumerate(piv.tolist()):
+        perm[i], perm[p] = perm[p], perm[i]
+    rows = np.empty(len(perm), dtype=np.intp)
+    rows[perm] = np.arange(len(perm))
+    return rows
+
 
 def _power_sigma_max(apply_t, apply_th, dim, x0=None, iters=80, tol=1e-11):
     """Largest singular value and right singular vector of T by power
@@ -160,40 +170,57 @@ class _WorstCaseSweeper:
         self._operator = bordered_vorticity_matrix(
             ResolventCase(nu=nu, k=k, bc=bc), self.grid, self.ops)
         if bc == "non_slip":
+            # rows of the wall coefficients (c1, c2) = sinh_rows @ w; complex,
+            # so the products with w are single BLAS calls
             y = self.grid.nodes
             s2k = math.sinh(2 * k)
-            self.s1 = -self.grid.quad_weights * np.sinh(k * (1 + y)) / s2k
-            self.s2 = self.grid.quad_weights * np.sinh(k * (1 - y)) / s2k
+            self.sinh_rows = np.array(
+                [-self.grid.quad_weights * np.sinh(k * (1 + y)) / s2k,
+                 self.grid.quad_weights * np.sinh(k * (1 - y)) / s2k],
+                dtype=complex)
 
     def _factor(self, lam, kernels=None):
+        """(case, lu, walls) at lam.  lu is sla.lu_factor's (lu, piv) pair
+        plus the rows of P b that the interior nodes land in; walls holds
+        the homogeneous pair's w1, w2 as (2, N) rows, None for vorticity-
+        Dirichlet walls."""
         case = ResolventCase(nu=self.nu, k=self.k, lam=lam, bc=self.bc)
         a = write_shear(self._operator.copy(order="F"), case, self.grid)
-        lu = sla.lu_factor(a, overwrite_a=True)
-        pair = None
+        lu, piv = sla.lu_factor(a, overwrite_a=True)
+        walls = None
         if self.bc == "non_slip":
             if airy_admissible(case):
                 pair = homogeneous_airy(case, self.grid, self.ops,
                                         elliptic=self.elliptic, kernels=kernels)
             else:
                 pair = homogeneous_bvp(case, self.grid, self.ops)
-        return case, lu, pair
+            walls = np.array([pair.w1, pair.w2])
+        return case, (lu, piv, _pivot_rows(piv)[self.inner]), walls
 
-    def _apply_r(self, lu, pair, f_int):
-        """forcing (interior nodal values) -> vorticity (all nodes)."""
-        n = self.grid.n_points
-        rhs = np.zeros(n, dtype=complex)
-        rhs[self.inner] = f_int
-        w = sla.lu_solve(lu, rhs)
-        if pair is not None:
-            w = w + (self.s1 @ w) * pair.w1 + (self.s2 @ w) * pair.w2
+    def _apply_r(self, lu, walls, f_int):
+        """forcing (interior nodal values) -> vorticity (all nodes).
+
+        With P A = L U the forcing is scattered straight into the rows of
+        P b, then one unit-lower and one upper triangular solve (ztrsv: one
+        right-hand side through getrs/ztrsm costs 2-3 times as much).
+        """
+        a, _, rows = lu
+        w = np.zeros(self.grid.n_points, dtype=complex)
+        w[rows] = f_int
+        ztrsv(a, w, lower=1, diag=1, overwrite_x=1)
+        ztrsv(a, w, overwrite_x=1)
+        if walls is not None:
+            w += (self.sinh_rows @ w) @ walls
         return w
 
-    def _apply_rh(self, lu, pair, y_full):
-        if pair is not None:
-            y_full = y_full + self.s1 * (np.vdot(pair.w1, y_full)) \
-                + self.s2 * (np.vdot(pair.w2, y_full))
-        z = sla.lu_solve(lu, y_full, trans=2)
-        return z[self.inner]
+    def _apply_rh(self, lu, walls, y_full):
+        """Adjoint of _apply_r: A^H = U^H L^H P, restricted to the interior."""
+        a, _, rows = lu
+        if walls is not None:
+            y_full = y_full + (walls.conj() @ y_full) @ self.sinh_rows
+        z = ztrsv(a, y_full, trans=2)
+        ztrsv(a, z, lower=1, diag=1, trans=2, overwrite_x=1)
+        return z[rows]
 
     def kernels_for(self, lambdas):
         """Airy wall kernels of every lambda from one batch; None for each
@@ -207,31 +234,28 @@ class _WorstCaseSweeper:
     def response_at(self, lam, kernels=None):
         """Top singular pair of the solution operator at lam; ``kernels`` is
         lam's slice of an airy_kernels batch, evaluated here when absent."""
-        case, lu, pair = self._factor(lam, kernels)
+        case, lu, walls = self._factor(lam, kernels)
         sq_in = self.sqw[self.inner]
         n = self.grid.n_points
 
         if self.data == "l2":
             def t(x):
-                return self.sqw * self._apply_r(lu, pair, x / sq_in)
+                return self.sqw * self._apply_r(lu, walls, x / sq_in)
 
             def th(y):
-                return self._apply_rh(lu, pair, self.sqw * y) / sq_in
+                return self._apply_rh(lu, walls, self.sqw * y) / sq_in
 
             dim = n - 2
         else:  # divergence-pair data, f1 = 0: F = -d f2/dy, size ||f2||_2
-            d1 = self.ops.d1
+            d1_in = self.ops.d1[self.inner]
 
             def t(x):
-                f2 = x / self.sqw
-                f_int = -real_apply(d1, f2)[self.inner]
-                return self.sqw * self._apply_r(lu, pair, f_int)
+                f_int = -real_apply(d1_in, x / self.sqw)
+                return self.sqw * self._apply_r(lu, walls, f_int)
 
             def th(y):
-                z = self._apply_rh(lu, pair, self.sqw * y)
-                z_full = np.zeros(n, dtype=complex)
-                z_full[self.inner] = z
-                return -real_apply(d1.T, z_full) / self.sqw
+                z = self._apply_rh(lu, walls, self.sqw * y)
+                return -real_apply(d1_in.T, z) / self.sqw
 
             dim = n
 
@@ -239,11 +263,11 @@ class _WorstCaseSweeper:
         self._warm = x
         if not converged:
             self.unconverged.append(lam)
-        return sigma, x, (case, lu, pair)
+        return sigma, x, (case, lu, walls)
 
     def solution_for(self, x, ctx):
         """Assemble the maximizer's solution and its forcing norm."""
-        case, lu, pair = ctx
+        case, lu, walls = ctx
         if self.data == "l2":
             f_int = x / self.sqw[self.inner]
             fnorm = math.sqrt(abs(np.sum(
@@ -252,7 +276,7 @@ class _WorstCaseSweeper:
             f2 = x / self.sqw
             fnorm = l2_norm(self.grid, f2)
             f_int = -real_apply(self.ops.d1, f2)[self.inner]
-        w = self._apply_r(lu, pair, f_int)
+        w = self._apply_r(lu, walls, f_int)
         phi = self.elliptic.solve(w)
         sol = ResolventSolution(case=case, w=w, phi=phi,
                                 u=recover_velocity(phi, case.k, self.ops))
@@ -303,6 +327,16 @@ def worst_case_norms(nu, k, bc, data, n_override=None, lambdas=None):
     return sup, sweeper.grid.order
 
 
+def _sweep_row(nu, k, bc, data):
+    """One row of a verification sweep: nu, k, N, the per-norm suprema and
+    power_unconverged, the number of lambdas whose power iteration stopped
+    at its cap."""
+    sweeper = _WorstCaseSweeper(nu, k, bc, data)
+    sup, _ = sweeper.sweep()
+    return dict(nu=nu, k=k, n=sweeper.grid.order, **sup,
+                power_unconverged=len(sweeper.unconverged))
+
+
 # -- named verification sweeps ------------------------------------------------
 
 def verify_navier_l2(sweep):
@@ -311,8 +345,7 @@ def verify_navier_l2(sweep):
     k = sweep.k_values[0]
     rows = []
     for nu in sweep.nu_values:
-        sup, n = worst_case_norms(nu, k, "navier_slip", "l2")
-        rows.append(dict(nu=nu, k=k, n=n, **sup))
+        rows.append(_sweep_row(nu, k, "navier_slip", "l2"))
     nus = [r["nu"] for r in rows]
     fits = [
         fit_loglog("navier_l2_w_l2", nus, [r["l2"] for r in rows], -1.0 / 3.0),
@@ -339,8 +372,7 @@ def verify_navier_k(sweep, nu=1e-4):
     for k in sweep.k_values:
         if nu * k**2 > 1.0:
             raise ValueError("k sweep requires nu k^2 <= 1")
-        sup, n = worst_case_norms(nu, k, "navier_slip", "l2")
-        rows.append(dict(nu=nu, k=k, n=n, **sup))
+        rows.append(_sweep_row(nu, k, "navier_slip", "l2"))
     ks = [abs(r["k"]) for r in rows]
     fits = [fit_loglog("navier_l2_w_l2_in_k", ks, [r["l2"] for r in rows],
                        -2.0 / 3.0, tolerance=0.05)]
@@ -353,8 +385,7 @@ def verify_navier_hm1(sweep):
     k = sweep.k_values[0]
     rows = []
     for nu in sweep.nu_values:
-        sup, n = worst_case_norms(nu, k, "navier_slip", "pair")
-        rows.append(dict(nu=nu, k=k, n=n, **sup))
+        rows.append(_sweep_row(nu, k, "navier_slip", "pair"))
     nus = [r["nu"] for r in rows]
     fits = [
         fit_loglog("navier_hm1_u_l2", nus, [r["u_l2"] for r in rows], -0.5),
@@ -377,10 +408,8 @@ def verify_nonslip(sweep):
     for nu in sweep.nu_values:
         if nu * k**2 > 1.0:
             raise ValueError("small-viscosity sweep requires nu k^2 <= 1")
-        sup, n = worst_case_norms(nu, k, "non_slip", "l2")
-        rows_l2.append(dict(nu=nu, k=k, n=n, **sup))
-        sup, n = worst_case_norms(nu, k, "non_slip", "pair")
-        rows_h.append(dict(nu=nu, k=k, n=n, **sup))
+        rows_l2.append(_sweep_row(nu, k, "non_slip", "l2"))
+        rows_h.append(_sweep_row(nu, k, "non_slip", "pair"))
     nus = [r["nu"] for r in rows_l2]
     fits = [
         fit_loglog("nonslip_l2_w_l2", nus, [r["l2"] for r in rows_l2], -5.0 / 12.0),

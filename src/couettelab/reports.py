@@ -42,9 +42,19 @@ class ReportDocument:
         return all(bool(v) for v in self.verdicts.values())
 
 
+#: Environment variables that set the BLAS thread count; the last digits of
+#: a report depend on it, because the kernels sum in a different order.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def provenance(config_text=""):
+    """Tool version, config digest, and the BLAS thread setting and processor
+    count the report's figures were computed under."""
     digest = hashlib.sha256(config_text.encode()).hexdigest()[:16]
-    return {"tool_version": __version__, "config_sha256": digest}
+    prov = {"tool_version": __version__, "config_sha256": digest,
+            "cpu_count": os.cpu_count()}
+    prov.update({var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS})
+    return prov
 
 
 def _json_scalar(obj):

@@ -140,13 +140,6 @@ class HomogeneousPair:
     method: str = "airy"
 
 
-@dataclass(frozen=True)
-class BorderedOperator:
-    matrix: np.ndarray
-    bc_rows: tuple
-    form: str
-
-
 class EllipticSolver:
     """Prefactored (d2 - k^2) phi = w with phi(+-1) = 0.
 
@@ -190,16 +183,6 @@ def vorticity_matrix(case, grid, ops):
             - case.shift * np.eye(n)).astype(complex)
 
 
-def stream_matrix(case, grid, ops):
-    """Unbordered fourth-order operator acting on the stream function."""
-    n = grid.n_points
-    k = case.k
-    lap = ops.d2 - k**2 * np.eye(n)
-    return (-case.nu * (lap @ lap)
-            + 1j * k * np.diag(grid.nodes - case.lam) @ lap
-            - case.shift * lap).astype(complex)
-
-
 def bordered_vorticity_matrix(case, grid, ops):
     """vorticity_matrix with its rows at y = +-1 replaced by w = 0.
 
@@ -218,24 +201,6 @@ def write_shear(a, case, grid):
     return a
 
 
-def build_operator(case, grid, ops):
-    """Bordered discrete operator for the case's boundary condition.
-
-    navier_slip: vorticity form with rows at y = +-1 replaced by w = 0.
-    non_slip: fourth-order stream form with four rows replaced by
-    phi(+-1) = 0 and phi'(+-1) = 0.
-    """
-    n = grid.n_points
-    if case.bc == "navier_slip":
-        return BorderedOperator(matrix=bordered_vorticity_matrix(case, grid, ops),
-                                bc_rows=(0, n - 1), form="vorticity")
-    a = border_dirichlet(stream_matrix(case, grid, ops))   # phi(+-1) = 0
-    rows = (0, 1, n - 2, n - 1)
-    a[1, :] = ops.d1[0, :]        # phi'(1) = 0
-    a[n - 2, :] = ops.d1[-1, :]   # phi'(-1) = 0
-    return BorderedOperator(matrix=a, bc_rows=rows, form="stream")
-
-
 def _conjugate_case(case):
     return replace(case, k=-case.k)
 
@@ -249,11 +214,10 @@ def solve_navier(case, forcing, grid, ops, elliptic=None):
                               grid, ops, elliptic=None)
         return _conjugate_solution(case, mirror)
     F = forcing.nodal_rhs(case, grid, ops)
-    op = build_operator(case, grid, ops)
     rhs = F.copy()
     rhs[0] = rhs[-1] = 0.0
     try:
-        w = np.linalg.solve(op.matrix, rhs)
+        w = np.linalg.solve(bordered_vorticity_matrix(case, grid, ops), rhs)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"resolvent solve failed for {case}: {exc} "

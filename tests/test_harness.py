@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from couettelab.grid import build_diff_ops, build_grid, default_order, l2_norm
 from couettelab import harness as H
@@ -50,8 +51,6 @@ def test_fit_loglog_exact_power():
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         H.SweepSpec(nu_values=(), k_values=(1,))
-    with pytest.raises(ValueError):
-        H.SweepSpec(nu_values=(1e-3,), k_values=(1,), lambda_strategy="greedy")
     sw = H.SweepSpec(nu_values=(1e-3, 5e-4), k_values=(1,))
     with pytest.raises(ValueError, match="2 decades"):
         sw.require_fit_range()
@@ -133,6 +132,86 @@ def test_power_iteration_reports_convergence():
     sigma, _, its, converged = run(np.logspace(0, -3, 12), 80)
     assert converged and its < 80
     assert abs(sigma - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("order", [80, 81])
+def test_triangular_solves_match_lu_solve(order):
+    # the sweeper applies its LU factors by two ztrsv calls after a row
+    # scatter; forward and adjoint solves must agree with getrs
+    sweeper = H._WorstCaseSweeper(1e-3, 1, "navier_slip", "l2", n_override=order)
+    n = sweeper.grid.n_points
+    case, (lu, piv, rows), walls = sweeper._factor(0.37)
+    assert walls is None
+    # ztrsv's f2py wrapper would silently copy a C-ordered factor per call
+    assert lu.flags.f_contiguous
+    assert not np.array_equal(piv, np.arange(n))   # pivoting did swap rows
+    rng = np.random.default_rng(order)
+    for _ in range(3):
+        f_int = rng.standard_normal(n - 2) + 1j * rng.standard_normal(n - 2)
+        rhs = np.zeros(n, dtype=complex)
+        rhs[1:-1] = f_int
+        ref = sla.lu_solve((lu, piv), rhs)
+        got = sweeper._apply_r((lu, piv, rows), None, f_int)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ref = sla.lu_solve((lu, piv), y, trans=2)[1:-1]
+        got = sweeper._apply_rh((lu, piv, rows), None, y)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def _lu_solve_apply_r(self, lu, walls, f_int):
+    """The sweeper's forward solve through scipy's lu_solve (reference)."""
+    rhs = np.zeros(self.grid.n_points, dtype=complex)
+    rhs[1:-1] = f_int
+    w = sla.lu_solve(lu[:2], rhs)
+    if walls is not None:
+        s1, s2 = self.sinh_rows.real
+        w = w + (s1 @ w) * walls[0] + (s2 @ w) * walls[1]
+    return w
+
+
+def _lu_solve_apply_rh(self, lu, walls, y_full):
+    """The sweeper's adjoint solve through scipy's lu_solve (reference)."""
+    if walls is not None:
+        s1, s2 = self.sinh_rows.real
+        y_full = y_full + s1 * np.vdot(walls[0], y_full) \
+            + s2 * np.vdot(walls[1], y_full)
+    return sla.lu_solve(lu[:2], y_full, trans=2)[1:-1]
+
+
+@pytest.mark.parametrize("bc", ["navier_slip", "non_slip"])
+@pytest.mark.parametrize("data", ["l2", "pair"])
+def test_sweep_matches_lu_solve_reference(bc, data, monkeypatch):
+    def run():
+        sweeper = H._WorstCaseSweeper(1e-3, 1, bc, data)
+        sup, evals = sweeper.sweep()
+        return sup, evals, sweeper.unconverged
+
+    sup, evals, unconverged = run()
+    monkeypatch.setattr(H._WorstCaseSweeper, "_apply_r", _lu_solve_apply_r)
+    monkeypatch.setattr(H._WorstCaseSweeper, "_apply_rh", _lu_solve_apply_rh)
+    ref_sup, ref_evals, ref_unconverged = run()
+    assert sup.keys() == ref_sup.keys()
+    for key, val in ref_sup.items():
+        assert abs(sup[key] - val) <= 1e-12 * abs(val), key
+    assert [lam for lam, _ in evals] == [lam for lam, _ in ref_evals]
+    for (_, sigma), (_, ref) in zip(evals, ref_evals):
+        assert abs(sigma - ref) <= 1e-12 * ref
+    assert unconverged == ref_unconverged
+
+
+def test_sweep_rows_report_power_unconverged(monkeypatch):
+    # every lambda of the sweep (41 grid points, 2 + 14 golden visits)
+    # stops at a 3-iteration cap
+    power = H._power_sigma_max
+    monkeypatch.setattr(H, "_power_sigma_max",
+                        lambda *args, **kw: power(*args, **dict(kw, iters=3)))
+    sweep = H.SweepSpec(nu_values=(1e-3,), k_values=(1, 2))
+    _, rows = H.verify_navier_k(sweep, nu=1e-3)
+    assert [r["power_unconverged"] for r in rows] == [57, 57]
+    monkeypatch.setattr(H, "_power_sigma_max", power)
+    _, rows = H.verify_navier_k(sweep, nu=1e-3)
+    assert [r["power_unconverged"] for r in rows] == [0, 0]
 
 
 def test_spectrum_navier_psi_bound():

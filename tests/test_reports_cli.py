@@ -56,6 +56,17 @@ def test_empty_report_csv(tmp_path):
     assert open(path).read() == "id\n"
 
 
+def test_provenance_records_blas_threads(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    prov = provenance("cfg")
+    assert prov["OPENBLAS_NUM_THREADS"] == "1"
+    assert prov["OMP_NUM_THREADS"] == "2"
+    assert prov["MKL_NUM_THREADS"] == "unset"
+    assert prov["cpu_count"] == os.cpu_count()
+
+
 def test_duplicate_and_nonfinite_rejected():
     rep = ReportDocument()
     rep.add_record(CaseRecord(id="a", params={}, results={"x": 1.0}))

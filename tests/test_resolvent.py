@@ -41,12 +41,10 @@ def test_build_operator_constant_residual(setup64):
     # applied to a constant, the vorticity operator leaves nu k^2 + ik(y-lam)
     g, ops = setup64
     case = R.ResolventCase(nu=1e-2, k=3, lam=0.0)
-    op = R.build_operator(case, g, ops)
     w = np.ones(g.n_points, dtype=complex)
     res = R.vorticity_matrix(case, g, ops) @ w
     expect = case.nu * case.k**2 + 1j * case.k * g.nodes
     assert np.max(np.abs(res - expect)) < 1e-8
-    assert op.form == "vorticity" and op.bc_rows == (0, g.order)
 
 
 def test_build_operator_symbol_check(setup64):
@@ -58,18 +56,6 @@ def test_build_operator_symbol_check(setup64):
     expect = (case.nu * (np.pi**2 / 4 + case.k**2)
               + 1j * case.k * (g.nodes - case.lam)) * f
     assert np.max(np.abs(got - expect)) < 1e-9 * np.max(np.abs(expect))
-
-
-def test_build_operator_stream_form(setup64):
-    g, ops = setup64
-    case = R.ResolventCase(nu=1e-2, k=1, lam=0.0, bc="non_slip")
-    op = R.build_operator(case, g, ops)
-    assert op.form == "stream"
-    # phi = (1-y^2)^2 satisfies all four boundary rows
-    phi = (1 - g.nodes**2) ** 2
-    res = op.matrix @ phi
-    assert abs(res[0]) < 1e-10 and abs(res[-1]) < 1e-10
-    assert abs(res[1]) < 1e-6 and abs(res[-2]) < 1e-6
 
 
 def test_accretivity_identity(setup64):
