@@ -25,8 +25,7 @@ svg_loglog("navier_w_scaling.svg", [r["nu"] for r in rows],
 print("  wrote navier_w_scaling.svg")
 
 print("No-slip (velocity Dirichlet), both data classes:")
-fits, constants, _ = verify_nonslip(SweepSpec(nu_values=NUS, k_values=(1,),
-                                              bc="non_slip"))
+fits, constants, _ = verify_nonslip(SweepSpec(nu_values=NUS, k_values=(1,)))
 for f in fits:
     print(f"  {f.name:24s} slope {f.exponent:+.4f}  target {f.target_exponent:+.4f}"
           f"  r2 {f.r2:.4f}")

@@ -3,7 +3,7 @@
 Submodules:
 
 * grid        Chebyshev nodes, Clenshaw-Curtis weights, differentiation matrices
-* weights     wall-ramp and critical-layer weight/cutoff profiles
+* weights     wall-ramp weight and critical-layer cutoff
 * airy        complex Airy function, slanted primitive, damping factor
 * resolvent   vorticity-form resolvent solves and homogeneous pairs
 * norms       the norm bundle every estimate is stated in
@@ -17,7 +17,6 @@ Submodules:
 __version__ = "0.1.0"
 
 from .grid import ChebGrid, DiffOps, build_diff_ops, build_grid, quadrature
-from .weights import WeightProfile, weight_values
 from .airy import AiryBundle, A0Value, DampingFactor, log_derivative_sup
 from .resolvent import (ResolventCase, ForcingSpec, ResolventSolution,
                         HomogeneousPair, coefficients,

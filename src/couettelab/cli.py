@@ -18,11 +18,11 @@ from . import harness
 from . import nonlinear as nl
 from .airy import DELTA1, a0 as airy_a0, airy as airy_fn, log_derivative_sup
 from .config import ConfigError, parse_config
-from .grid import build_diff_ops, build_grid, default_order, real_apply
+from .grid import grid_for, real_apply, wall_moment_residuals
 from .norms import norms
 from .reports import CaseRecord, ReportDocument, emit, provenance
 from .resolvent import (ResolventCase, direct_forcing, homogeneous_airy,
-                        homogeneous_bvp, moment_residuals, solve)
+                        homogeneous_bvp, solve)
 
 
 def _load(args, command):
@@ -32,12 +32,6 @@ def _load(args, command):
             text = fh.read()
     cfg = parse_config(text, command)
     return cfg, text
-
-
-def _grid_pair(nu, k, n):
-    order = n if n else default_order(nu, k)
-    g = build_grid(order)
-    return g, build_diff_ops(g)
 
 
 def _finish(report, args, svg_specs=()):
@@ -80,13 +74,13 @@ def cmd_resolvent(args):
     c = cfg["case"]
     case = ResolventCase(nu=c["nu"], k=c["k"], lam=c["lambda"],
                          epsilon=c["epsilon"], bc=c["bc"])
-    g, ops = _grid_pair(c["nu"], c["k"], c["n"])
+    g, ops = grid_for(c["nu"], c["k"], c["n"])
     fvals = harness.FORCINGS[c["forcing"]](g.nodes)
     kw = {"path": c["path"]} if c["bc"] == "non_slip" else {}
     sol = solve(case, direct_forcing(fvals), g, ops, **kw)
     nb = norms(sol, case, g, ops)
     rep = ReportDocument(provenance=provenance(text))
-    mom = moment_residuals(sol, g)
+    mom = wall_moment_residuals(g, sol.w, case.k)
     rep.add_record(CaseRecord(
         id="resolvent_0000",
         params={"nu": c["nu"], "k": c["k"], "lambda": c["lambda"],
@@ -94,7 +88,7 @@ def cmd_resolvent(args):
                 "forcing": c["forcing"]},
         results={**nb.as_dict(), "moment_plus": mom[0], "moment_minus": mom[1]}))
     if c["bc"] == "non_slip":
-        rep.verdicts["moments_zero"] = bool(max(mom) < 1e-8)
+        rep.verdicts["moments_zero"] = bool(mom.max() < 1e-8)
     return _finish(rep, args)
 
 
@@ -103,7 +97,7 @@ def cmd_homog(args):
     c = cfg["case"]
     case = ResolventCase(nu=c["nu"], k=c["k"], lam=c["lambda"],
                          epsilon=c["epsilon"], bc="non_slip")
-    g, ops = _grid_pair(c["nu"], c["k"], c["n"])
+    g, ops = grid_for(c["nu"], c["k"], c["n"])
     pair = (homogeneous_airy if c["method"] == "airy" else homogeneous_bvp)(
         case, g, ops)
     dphi1 = real_apply(ops.d1, pair.phi1)
@@ -150,7 +144,7 @@ def cmd_sweep(args):
     if s["check"] not in _SWEEPS:
         raise ConfigError(f"unknown check {s['check']!r}")
     bc = "non_slip" if s["check"] == "nonslip" else "navier_slip"
-    sw = harness.SweepSpec(nu_values=tuple(s["nu"]), k_values=tuple(s["k"]), bc=bc)
+    sw = harness.SweepSpec(nu_values=tuple(s["nu"]), k_values=tuple(s["k"]))
     fits, constants, rows = _SWEEPS[s["check"]](sw)
     if s["check"] == "nonslip":
         rows_by_kind = {"l2": rows[0], "hm1": rows[1]}
@@ -190,7 +184,7 @@ def cmd_spectrum(args):
     cfg, text = _load(args, "spectrum")
     c = cfg["case"]
     case = ResolventCase(nu=c["nu"], k=c["k"], bc=c["bc"])
-    g, ops = _grid_pair(c["nu"], c["k"], c["n"])
+    g, ops = grid_for(c["nu"], c["k"], c["n"])
     repg = harness.spectrum(case, g, ops)
     rep = ReportDocument(provenance=provenance(text))
     lead = sorted(repg.eigenvalues, key=lambda m: -m.real)[:12]
@@ -217,7 +211,7 @@ def _named_data(name, g, ops, k):
 def cmd_evolve(args):
     cfg, text = _load(args, "evolve")
     c = cfg["case"]
-    g, ops = _grid_pair(c["nu"], c["k"], c["n"])
+    g, ops = grid_for(c["nu"], c["k"], c["n"])
     w0 = _named_data(c["data"], g, ops, c["k"])
     dt = c["dt"] or evo.dt_accuracy_bound(c["nu"], c["k"])
     t_end = c["t_end"] or 2.0 * (c["nu"] * c["k"] ** 2) ** (-1 / 3)
@@ -245,7 +239,7 @@ def cmd_threshold(args):
                               amplitude_hi=t["amplitude_hi"])
 
     def builder(nu):
-        return _grid_pair(nu, t["k_max"], 0)
+        return grid_for(nu, t["k_max"])
 
     probe = nl.probe_threshold(probe, builder, k_max=t["k_max"],
                                t_end=t["t_end"] or None)
@@ -284,12 +278,12 @@ def cmd_report(args):
         def one(inu_nu):
             i, nu = inu_nu
             k = r["k"][0]
-            g, ops = _grid_pair(nu, k, 0)
+            g, ops = grid_for(nu, k)
             case = ResolventCase(nu=nu, k=k, lam=0.0, bc="non_slip")
             fvals = harness.FORCINGS["exp_ipiy"](g.nodes)
             sol = solve(case, direct_forcing(fvals), g, ops)
             nb = norms(sol, case, g, ops)
-            mom = moment_residuals(sol, g)
+            mom = wall_moment_residuals(g, sol.w, k)
             return CaseRecord(id=f"resolvent_{i:04d}",
                               params={"nu": nu, "k": k, "bc": "non_slip"},
                               results={**nb.as_dict(), "moment_plus": mom[0]})

@@ -17,8 +17,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grid import (border_dirichlet, l2_norm, quadrature, real_apply,
-                   wall_moment_rows)
-from .resolvent import EllipticSolver, recover_velocity
+                   wall_moment_residuals, wall_moment_rows)
+from .resolvent import (EllipticSolver, ResolventCase, recover_velocity,
+                        vorticity_matrix)
 from .weights import rho_k
 
 MAX_STEPS = 400_000
@@ -55,16 +56,6 @@ class EvolutionCase:
         bound = dt_accuracy_bound(self.nu, self.k)
         if self.dt > bound * (1 + 1e-12):
             raise ValueError(f"dt = {self.dt} exceeds the accuracy rule {bound:.4g}")
-
-
-def moment_violation(omega, k, grid):
-    """max of |<omega, e^{+-ky}>| / (e^{|k|} ||omega||_L1)."""
-    y = grid.nodes
-    l1 = quadrature(grid, np.abs(omega))
-    if l1 == 0:
-        return 0.0
-    return max(abs(quadrature(grid, np.exp(s * k * y) * omega))
-               for s in (1, -1)) / (math.exp(abs(k)) * l1)
 
 
 def to_real_frame(w):
@@ -121,7 +112,8 @@ class CrankNicolson:
     With L = nu(k^2 - d2) + iky, the explicit half M- = 1 - dt L/2 is the
     real matrix m_minus_d2 * d2 plus the complex diagonal m_minus_diag,
     applied as one real product with the shared d2.  Set-up builds the
-    wall-bordered M+ = 1 + dt L/2 in the real frame of `to_real_frame`,
+    wall-bordered M+ = 1 + dt L/2 (L from `resolvent.vorticity_matrix` at
+    lam = 0) in the real frame of `to_real_frame`,
     inverts it as a real matrix and folds in, under velocity Dirichlet, the
     influence-matrix correction: a real propagator S (`propagator`, in the
     frame) and a complex node-space (N, 2) gain G for the wall-moment
@@ -142,9 +134,9 @@ class CrankNicolson:
         n = grid.n_points
         self.m_minus_diag = 1.0 - 0.5 * dt * (nu * k**2 + 1j * k * grid.nodes)
         self.m_minus_d2 = 0.5 * dt * nu
-        m_plus = real_form(border_dirichlet(
-            np.diag(1.0 + 0.5 * dt * (nu * k**2 + 1j * k * grid.nodes))
-            - 0.5 * dt * nu * ops.d2))
+        m_plus = np.eye(n) + 0.5 * dt * vorticity_matrix(
+            ResolventCase(nu=nu, k=k, bc=bc), grid, ops)
+        m_plus = real_form(border_dirichlet(m_plus))
         residue = np.linalg.norm(m_plus.imag) / np.linalg.norm(m_plus.real)
         self.reflection_residue = float(residue)
         if not residue <= REFLECTION_RESIDUE_MAX:
@@ -362,7 +354,7 @@ def run(case, grid, ops, store_every=1, auto_extend=True):
     sample to sample with one `CrankNicolson.advance`.
     """
     if case.bc == "non_slip" and case.check_moments:
-        viol = moment_violation(case.omega0, case.k, grid)
+        viol = wall_moment_residuals(grid, case.omega0, case.k).max()
         if not viol <= 1e-8:
             raise ValueError(f"initial data violates the wall moments: {viol:.2e}")
     stepper = CrankNicolson(case.nu, case.k, case.bc, case.dt, grid, ops)
@@ -469,11 +461,10 @@ def homogeneous_splitting(case, grid, ops, store_every=1):
     for j in range(nsteps):
         t_next = t + dt
         w1_next = part1(t_next)
-        # CN residual of the closed-form part: (M+ w1_next - M- w1)/dt
-        m_plus_w1n = w1_next + 0.5 * dt * (
-            nu * (k**2 * w1_next - real_apply(ops.d2, w1_next)) + 1j * k * y * w1_next)
-        m_minus_w1 = stepper.apply_m_minus(w1)
-        rhs2 = -(m_plus_w1n - m_minus_w1) / dt
+        # CN residual of the closed-form part: (M+ w1_next - M- w1)/dt,
+        # with M+ = 2 - M-
+        m_plus_w1n = 2.0 * w1_next - stepper.apply_m_minus(w1_next)
+        rhs2 = -(m_plus_w1n - stepper.apply_m_minus(w1)) / dt
         w2 = stepper.step(w2, rhs_mid=rhs2, moment_targets=(0.0, 0.0))
         tgt = -real_apply(mom, w1_next)
         w3 = stepper.step(w3, rhs_mid=None, moment_targets=tuple(tgt))

@@ -2,7 +2,7 @@
 
 Gauss-Lobatto nodes y_j = cos(j pi / N) (descending, y_0 = 1, y_N = -1),
 Clenshaw-Curtis quadrature weights, and dense differentiation matrices for
-the first, second and fourth derivative.
+the first and second derivative.
 """
 
 import math
@@ -114,25 +114,30 @@ def _negative_sum(d):
 
 @dataclass(frozen=True)
 class DiffOps:
-    """Dense differentiation matrices d1, d2, d4 on a ChebGrid."""
+    """Dense differentiation matrices d1, d2 on a ChebGrid."""
 
     d1: np.ndarray = field(repr=False)
     d2: np.ndarray = field(repr=False)
-    d4: np.ndarray = field(repr=False)
 
 
 def build_diff_ops(grid):
-    """Differentiation matrices by repeated products of d1.
+    """Differentiation matrices d1 and d2 = d1 d1.
 
-    The diagonal of each product is re-derived from the negative-sum trick
-    so that constants differentiate to zero at round-off level.
+    The diagonal of d2 is re-derived from the negative-sum trick so that
+    constants differentiate to zero at round-off level.
     """
     d1 = _cheb_d1(grid.nodes)
     d2 = _negative_sum(d1 @ d1)
-    d4 = _negative_sum(d2 @ d2)
-    for m in (d1, d2, d4):
+    for m in (d1, d2):
         m.setflags(write=False)
-    return DiffOps(d1=d1, d2=d2, d4=d4)
+    return DiffOps(d1=d1, d2=d2)
+
+
+def grid_for(nu, k, n=None):
+    """(ChebGrid, DiffOps) of order n, or of default_order(nu, k) when n is
+    None or 0."""
+    g = build_grid(n or default_order(nu, k))
+    return g, build_diff_ops(g)
 
 
 def real_apply(a, x):
@@ -159,6 +164,15 @@ def wall_moment_rows(grid, k):
     """(2, n) quadrature rows of the wall moments <w, e^{+ky}>, <w, e^{-ky}>."""
     q, y = grid.quad_weights, grid.nodes
     return np.vstack([q * np.exp(k * y), q * np.exp(-k * y)])
+
+
+def wall_moment_residuals(grid, w, k):
+    """(2,) wall moments |<w, e^{+-ky}>| normalized as in the boundary-
+    condition derivation, by e^{|k|} ||w||_L1; zeros for w = 0."""
+    l1 = l1_norm(grid, w)
+    if l1 == 0:
+        return np.zeros(2)
+    return np.abs(real_apply(wall_moment_rows(grid, k), w)) / (math.exp(abs(k)) * l1)
 
 
 def quadrature(grid, values):

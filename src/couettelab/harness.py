@@ -20,14 +20,15 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.blas import ztrsv
 
-from .grid import (build_diff_ops, build_grid, default_order, l1_norm, l2_norm,
-                   quadrature, real_apply, wall_moment_rows)
+from .grid import (grid_for, l1_norm, l2_norm, quadrature, real_apply,
+                   wall_moment_rows)
 from .norms import norms
 from .resolvent import (EPSILON_MAX, EllipticSolver, ResolventCase,
                         ResolventSolution, airy_admissible, airy_kernels,
-                        bordered_vorticity_matrix, coefficients, direct_forcing,
-                        homogeneous_airy, homogeneous_bvp, pair_forcing,
-                        recover_velocity, solve_nonslip, write_shear)
+                        bordered_vorticity_matrix, coefficient_rows,
+                        direct_forcing, homogeneous_airy, homogeneous_bvp,
+                        pair_forcing, recover_velocity, solve_nonslip,
+                        vorticity_matrix, write_shear)
 from .weights import cutoff_chi, rho_k
 
 
@@ -69,7 +70,6 @@ def fit_loglog(name, xs, values, target, tolerance=0.05):
 class SweepSpec:
     nu_values: tuple
     k_values: tuple = (1,)
-    bc: str = "navier_slip"
 
     def __post_init__(self):
         if len(self.nu_values) == 0 or len(self.k_values) == 0:
@@ -90,12 +90,6 @@ FORCINGS = {
     "exp_iy": lambda y: np.exp(1j * y),
     "cos_half": lambda y: np.cos(np.pi * y / 2) + 0j,
 }
-
-
-def _grid_for(nu, k, n_override=None):
-    n = default_order(nu, k) if n_override is None else n_override
-    g = build_grid(n)
-    return g, build_diff_ops(g)
 
 
 def enforce_resolution_rule(nu, k, n):
@@ -157,7 +151,7 @@ class _WorstCaseSweeper:
 
     def __init__(self, nu, k, bc, data, n_override=None):
         self.nu, self.k, self.bc, self.data = nu, k, bc, data
-        self.grid, self.ops = _grid_for(nu, k, n_override)
+        self.grid, self.ops = grid_for(nu, k, n_override)
         enforce_resolution_rule(nu, k, self.grid.order)
         self.elliptic = EllipticSolver(self.grid, self.ops, k)
         n = self.grid.n_points
@@ -170,14 +164,9 @@ class _WorstCaseSweeper:
         self._operator = bordered_vorticity_matrix(
             ResolventCase(nu=nu, k=k, bc=bc), self.grid, self.ops)
         if bc == "non_slip":
-            # rows of the wall coefficients (c1, c2) = sinh_rows @ w; complex,
-            # so the products with w are single BLAS calls
-            y = self.grid.nodes
-            s2k = math.sinh(2 * k)
-            self.sinh_rows = np.array(
-                [-self.grid.quad_weights * np.sinh(k * (1 + y)) / s2k,
-                 self.grid.quad_weights * np.sinh(k * (1 - y)) / s2k],
-                dtype=complex)
+            # (c1, c2) = sinh_rows @ w; complex, so the products with w are
+            # single BLAS calls
+            self.sinh_rows = coefficient_rows(self.grid, k)
 
     def _factor(self, lam, kernels=None):
         """(case, lu, walls) at lam.  lu is sla.lu_factor's (lu, piv) pair
@@ -432,7 +421,7 @@ def verify_nonslip_large(nu, k, n_override=None):
     """nu k^2 >= 1 regime: record nu k^2 ||w||_2 / ||F||_2 (monolithic path)."""
     if nu * k**2 < 1.0:
         raise ValueError("requires nu k^2 >= 1")
-    g, ops = _grid_for(nu, k, n_override)
+    g, ops = grid_for(nu, k, n_override)
     fvals = FORCINGS["exp_ipiy"](g.nodes)
     forcing = direct_forcing(fvals)
     best = 0.0
@@ -456,24 +445,26 @@ def verify_c_bounds(nu, k, lambdas=None, forcing_key="exp_ipiy", n_override=None
             1.0 + np.linspace(-1.0, 1.0, 9) / abs(k),
             -1.0 + np.linspace(-1.0, 1.0, 9) / abs(k),
         ])
-    g, ops = _grid_for(nu, k, n_override)
+    g, ops = grid_for(nu, k, n_override)
     fvals = FORCINGS[forcing_key](g.nodes)
     fnorm = l2_norm(g, fvals)
     out = {"c1_l2": 0.0, "c2_l2": 0.0, "c1_hm1": 0.0, "c2_hm1": 0.0}
     # c1 and c2 are sinh moments of the vorticity-Dirichlet solution alone
     # (resolvent.coefficients), so no homogeneous pair is built; both
-    # forcings share one factorization of the bordered operator per lambda
+    # forcings share one factorization of the bordered operator per lambda,
+    # and one product with the sinh rows gives [[c1, p1], [c2, p2]]
     case = ResolventCase(nu=nu, k=k, bc="non_slip")
     rhs = np.column_stack([f.nodal_rhs(case, g, ops) for f in
                            (direct_forcing(fvals), pair_forcing(f2=fvals))])
     rhs[[0, -1]] = 0.0
     operator = bordered_vorticity_matrix(case, g, ops)
+    rows = coefficient_rows(g, k)
     scale_l2 = nu ** (-1 / 6) * abs(k) ** (-5 / 6) * fnorm
     scale_hm1 = nu ** (-0.5) * abs(k) ** (-0.5) * fnorm
     for lam in lambdas:
         a = write_shear(operator.copy(order="F"), replace(case, lam=float(lam)), g)
         w = sla.lu_solve(sla.lu_factor(a, overwrite_a=True), rhs)
-        (c1, c2), (p1, p2) = (coefficients(w[:, j], k, g) for j in (0, 1))
+        (c1, p1), (c2, p2) = rows @ w
         w1, w2 = 1 + abs(k * (lam - 1)), 1 + abs(k * (lam + 1))
         out["c1_l2"] = max(out["c1_l2"], w1 * abs(c1) / scale_l2)
         out["c2_l2"] = max(out["c2_l2"], w2 * abs(c2) / scale_l2)
@@ -488,7 +479,7 @@ def verify_w12_bounds(nu_values, k_values, lambdas, n_override=None):
            "w1_rho_half": 0.0, "w1_rho_neg_quarter": 0.0}
     for nu in nu_values:
         for k in k_values:
-            g, ops = _grid_for(nu, k, n_override)
+            g, ops = grid_for(nu, k, n_override)
             ell = EllipticSolver(g, ops, k)
             rho = rho_k(g.nodes, (abs(k) / nu) ** (1 / 3))
             cases = [ResolventCase(nu=nu, k=k, lam=float(lam), bc="non_slip")
@@ -551,8 +542,7 @@ def evolution_generator(nu, k, bc, grid, ops):
 
 def _generator_and_moments(nu, k, bc, grid, ops):
     n = grid.n_points
-    y = grid.nodes
-    lmat = (nu * (k**2 * np.eye(n) - ops.d2) + 1j * k * np.diag(y)).astype(complex)
+    lmat = vorticity_matrix(ResolventCase(nu=nu, k=k, bc=bc), grid, ops)
     if bc == "navier_slip":
         return lmat[1:-1, 1:-1], None
     mom = wall_moment_rows(grid, k)

@@ -40,7 +40,7 @@ def norms(solution, case, grid, ops):
     phip = real_apply(ops.d1, phi)
     h1 = quadrature(grid, np.abs(phip) ** 2).real \
         + case.k**2 * quadrature(grid, np.abs(phi) ** 2).real
-    bundle = NormBundle(
+    return NormBundle(
         l2=l2_norm(grid, w),
         l1=l1_norm(grid, w),
         linf=float(np.max(np.abs(w))),
@@ -53,5 +53,3 @@ def norms(solution, case, grid, ops):
         rho_threehalf=weighted_l2_norm(grid, w, rho ** 3),
         boundary_weight=weighted_l2_norm(grid, w, 1.0 - np.abs(y)),
     )
-    solution.norms = bundle
-    return bundle

@@ -106,20 +106,6 @@ def emit_json(report, path):
     return path
 
 
-def ingest_json(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != 1:
-        raise ValueError("unsupported schema version")
-    rep = ReportDocument(provenance=doc["provenance"], fits=doc["fits"],
-                         verdicts=doc["verdicts"])
-    for r in doc["records"]:
-        rep.add_record(CaseRecord(id=r["id"], params=r["params"],
-                                  results=r["results"],
-                                  provenance=r.get("provenance", {})))
-    return rep
-
-
 def emit(report, out_dir, formats=("csv", "json"), svg_specs=()):
     """Write the requested formats into out_dir; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)

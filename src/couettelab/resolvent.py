@@ -11,6 +11,11 @@ function with (d^2/dy^2 - k^2) phi = w.
 The non-slip problem is solved two ways: a monolithic bordered solve and
 the decomposition w = w_na + c1 w1 + c2 w2 whose homogeneous pieces come
 either from slanted Airy functions or from direct bordered solves.
+
+k < 0 needs no case of its own: every dense operator at -k is the complex
+conjugate of the one at k, so the dense solves return conjugated results
+for conjugated data.  Only homogeneous_airy mirrors, because the
+slanted-Airy representation is set up for k > 0.
 """
 
 import cmath
@@ -21,7 +26,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .airy import airy_scaled
-from .grid import border_dirichlet, quadrature, real_apply
+from .grid import border_dirichlet, real_apply
 from .scaled import Scaled, scaled_quadrature
 
 #: Largest admissible contour shift; the harness verifies C * EPSILON_MAX <= 1/2
@@ -112,7 +117,6 @@ class ResolventSolution:
     c1: complex = 0j
     c2: complex = 0j
     path: str = "monolithic"
-    norms: object = None
 
 
 @dataclass(frozen=True)
@@ -135,8 +139,6 @@ class HomogeneousPair:
     A2: Scaled
     B1: Scaled
     B2: Scaled
-    d: complex
-    d_tilde: complex
     method: str = "airy"
 
 
@@ -175,12 +177,18 @@ def recover_velocity(phi, k, ops):
 
 
 def vorticity_matrix(case, grid, ops):
-    """Unbordered operator -nu(d2 - k^2) + ik(y - lam) - shift."""
+    """Unbordered operator -nu(d2 - k^2) + ik(y - lam) - shift.
+
+    Real and imaginary parts are written in place: no complex N x N
+    temporary, and the imaginary diagonal is the one write_shear writes.
+    """
     n = grid.n_points
-    k = case.k
-    return (-case.nu * (ops.d2 - k**2 * np.eye(n))
-            + 1j * k * np.diag(grid.nodes - case.lam)
-            - case.shift * np.eye(n)).astype(complex)
+    a = np.zeros((n, n), dtype=complex)
+    a.real = -case.nu * (ops.d2 - case.k**2 * np.eye(n))
+    diag = np.diag_indices(n)
+    a.real[diag] -= case.shift
+    a.imag[diag] = case.k * (grid.nodes - case.lam)
+    return a
 
 
 def bordered_vorticity_matrix(case, grid, ops):
@@ -201,18 +209,10 @@ def write_shear(a, case, grid):
     return a
 
 
-def _conjugate_case(case):
-    return replace(case, k=-case.k)
-
-
 def solve_navier(case, forcing, grid, ops, elliptic=None):
     """Vorticity-Dirichlet resolvent solve; phi recovered elliptically."""
     if case.bc != "navier_slip":
         raise ValueError("solve_navier requires bc = navier_slip")
-    if case.k < 0:
-        mirror = solve_navier(_conjugate_case(case), _conj_forcing(forcing),
-                              grid, ops, elliptic=None)
-        return _conjugate_solution(case, mirror)
     F = forcing.nodal_rhs(case, grid, ops)
     rhs = F.copy()
     rhs[0] = rhs[-1] = 0.0
@@ -231,33 +231,18 @@ def solve_navier(case, forcing, grid, ops, elliptic=None):
                              w_na=w, path="vorticity_dirichlet")
 
 
-def _conj_forcing(forcing):
-    conj = lambda a: None if a is None else np.conj(a)
-    return ForcingSpec(form=forcing.form, F=conj(forcing.F),
-                       f1=conj(forcing.f1), f2=conj(forcing.f2))
-
-
-def _conjugate_solution(case, sol):
-    u1, u2 = sol.u
-    return ResolventSolution(
-        case=case, w=np.conj(sol.w), phi=np.conj(sol.phi),
-        u=(np.conj(u1), np.conj(u2)),
-        w_na=None if sol.w_na is None else np.conj(sol.w_na),
-        c1=None if sol.c1 is None else np.conj(sol.c1),
-        c2=None if sol.c2 is None else np.conj(sol.c2),
-        path=sol.path)
+def coefficient_rows(grid, k):
+    """(2, n) complex rows with (c1, c2) = rows @ w_na: the quadrature of
+    -sinh(k(1+y))/sinh(2k) and +sinh(k(1-y))/sinh(2k); both even in k."""
+    q, y = grid.quad_weights, grid.nodes
+    s2k = math.sinh(2 * k)
+    return np.array([-q * np.sinh(k * (1 + y)) / s2k,
+                     q * np.sinh(k * (1 - y)) / s2k], dtype=complex)
 
 
 def coefficients(w_na, k, grid):
-    """Boundary coefficients from sinh-weighted moments of w_na.
-
-    c1 = -int sinh(k(1+y))/sinh(2k) w_na dy,
-    c2 = +int sinh(k(1-y))/sinh(2k) w_na dy; both even in k.
-    """
-    y = grid.nodes
-    s2k = math.sinh(2 * k)
-    c1 = -quadrature(grid, np.sinh(k * (1 + y)) / s2k * w_na)
-    c2 = quadrature(grid, np.sinh(k * (1 - y)) / s2k * w_na)
+    """Boundary coefficients (c1, c2) = coefficient_rows @ w_na."""
+    c1, c2 = coefficient_rows(grid, k) @ w_na
     return complex(c1), complex(c2)
 
 
@@ -307,11 +292,10 @@ def homogeneous_airy(case, grid, ops, elliptic=None, kernels=None):
             f"slanted-Airy representation requires L >= 6|k| or L >= |k| >= "
             f"{K0_LARGE}; case has L = {case.L:.2f}, k = {case.k}")
     if case.k < 0:
-        mirror = homogeneous_airy(_conjugate_case(case), grid, ops,
-                                  kernels=kernels)
-        return _conjugate_pair(mirror)
+        return _conjugate_pair(homogeneous_airy(replace(case, k=-case.k), grid,
+                                                ops, elliptic, kernels))
 
-    k, nu, lam = case.k, case.nu, case.lam
+    k = case.k
     y = grid.nodes
     if kernels is None:
         kernels = airy_kernels([case], grid)[0]
@@ -339,12 +323,9 @@ def homogeneous_airy(case, grid, ops, elliptic=None, kernels=None):
         elliptic = EllipticSolver(grid, ops, k)
     phi1 = elliptic.solve(w1)
     phi2 = elliptic.solve(w2)
-    d = -1 - lam - 1j * k * nu
-    d_tilde = -1 + lam - 1j * k * nu
     return HomogeneousPair(w1=w1, w2=w2, phi1=phi1, phi2=phi2,
                            C11=C11, C12=C12, C21=C21, C22=C22,
-                           A1=A1, A2=A2, B1=B1, B2=B2,
-                           d=d, d_tilde=d_tilde, method="airy")
+                           A1=A1, A2=A2, B1=B1, B2=B2, method="airy")
 
 
 def _combine(ca, ma, sa, cb, mb, sb):
@@ -361,11 +342,10 @@ def _conjugate_pair(p):
         w1=np.conj(p.w1), w2=np.conj(p.w2),
         phi1=np.conj(p.phi1), phi2=np.conj(p.phi2),
         C11=cs(p.C11), C12=cs(p.C12), C21=cs(p.C21), C22=cs(p.C22),
-        A1=cs(p.A1), A2=cs(p.A2), B1=cs(p.B1), B2=cs(p.B2),
-        d=np.conj(p.d), d_tilde=np.conj(p.d_tilde), method=p.method)
+        A1=cs(p.A1), A2=cs(p.A2), B1=cs(p.B1), B2=cs(p.B2), method=p.method)
 
 
-def coupled_system(case, grid, ops, bc="non_slip"):
+def coupled_system(case, grid, ops):
     """Second-order coupled (w, phi) system; avoids the N^8 growth of the
     bordered fourth-order matrix at large resolution.
 
@@ -393,8 +373,6 @@ def coupled_system(case, grid, ops, bc="non_slip"):
 
 def homogeneous_bvp(case, grid, ops):
     """Homogeneous pair by direct bordered solves of the coupled system."""
-    if case.k < 0:
-        return _conjugate_pair(homogeneous_bvp(_conjugate_case(case), grid, ops))
     n = grid.n_points
     m = coupled_system(case, grid, ops)
     lu = sla.lu_factor(m)
@@ -407,10 +385,7 @@ def homogeneous_bvp(case, grid, ops):
     zero = Scaled(0j, 0.0)
     return HomogeneousPair(w1=w1, w2=w2, phi1=phi1, phi2=phi2,
                            C11=zero, C12=zero, C21=zero, C22=zero,
-                           A1=zero, A2=zero, B1=zero, B2=zero,
-                           d=-1 - case.lam - 1j * case.k * case.nu,
-                           d_tilde=-1 + case.lam - 1j * case.k * case.nu,
-                           method="bvp")
+                           A1=zero, A2=zero, B1=zero, B2=zero, method="bvp")
 
 
 def solve_nonslip(case, forcing, grid, ops, path="auto", elliptic=None,
@@ -426,11 +401,6 @@ def solve_nonslip(case, forcing, grid, ops, path="auto", elliptic=None,
     """
     if case.bc != "non_slip":
         raise ValueError("solve_nonslip requires bc = non_slip")
-    if case.k < 0:
-        mirror = solve_nonslip(_conjugate_case(case), _conj_forcing(forcing),
-                               grid, ops, path=path,
-                               pair=None if pair is None else _conjugate_pair(pair))
-        return _conjugate_solution(case, mirror)
     if path == "auto":
         path = "decomposed" if airy_admissible(case) else "monolithic"
 
@@ -471,15 +441,3 @@ def solve(case, forcing, grid, ops, **kw):
         return solve_navier(case, forcing, grid, ops, **kw)
     return solve_nonslip(case, forcing, grid, ops, **kw)
 
-
-def moment_residuals(sol, grid):
-    """The exp(+-ky) moments of w, normalized as in the boundary-condition
-    derivation: |moment| / (e^{|k|} ||w||_L1)."""
-    k = sol.case.k
-    y = grid.nodes
-    l1 = quadrature(grid, np.abs(sol.w))
-    out = []
-    for sgn in (1, -1):
-        mom = quadrature(grid, np.exp(sgn * k * y) * sol.w)
-        out.append(abs(mom) / (math.exp(abs(k)) * max(l1, 1e-300)))
-    return tuple(out)

@@ -1,51 +1,16 @@
 """Weight and cutoff profiles used by the resolvent and space-time estimates.
 
-Four kinds:
-
 * ``rho_k``       linear wall ramp: L(1+y) near y=-1, 1 in the core, L(1-y) near y=+1
-* ``tilde_rho_k`` C^2 cubic-smoothed version of rho_k, comparable to it pointwise
-* ``cutoff_rho``  odd sine step across the critical layer at lambda, width delta
 * ``cutoff_chi``  regularized 1/(y-lambda), polynomial inside the critical layer
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-KINDS = ("rho_k", "tilde_rho_k", "cutoff_rho", "cutoff_chi")
-
-
-@dataclass(frozen=True)
-class WeightProfile:
-    kind: str
-    params: dict
-    values: np.ndarray = field(repr=False)
 
 
 def rho_k(y, L):
     """Wall-layer ramp weight: 0 at the walls, 1 on [-1 + 1/L, 1 - 1/L]."""
     y = np.asarray(y, dtype=float)
     return np.minimum(1.0, L * np.minimum(1.0 + y, 1.0 - y))
-
-
-def tilde_rho_k(y, L):
-    """Cubic-smoothed wall ramp, C^2 on (-1, 1), comparable to rho_k."""
-    y = np.asarray(y, dtype=float)
-    out = np.ones_like(y)
-    lo = y <= -1.0 + 1.0 / L
-    hi = y >= 1.0 - 1.0 / L
-    out[lo] = (L * y[lo] + L - 1.0) ** 3 + 1.0
-    out[hi] = (L - L * y[hi] - 1.0) ** 3 + 1.0
-    return out
-
-
-def cutoff_rho(y, lam, delta):
-    """Odd step: -1 left of lam-delta, +1 right of lam+delta, sine between."""
-    y = np.asarray(y, dtype=float)
-    out = np.sign(y - lam)
-    mid = np.abs(y - lam) < delta
-    out[mid] = np.sin(np.pi * (y[mid] - lam) / (2.0 * delta))
-    return out
 
 
 def cutoff_chi(y, lam, delta):
@@ -58,25 +23,3 @@ def cutoff_chi(y, lam, delta):
     out[~mid] = 1.0 / t[~mid]
     out[mid] = 2.0 * t[mid] / delta**2 - t[mid] ** 3 / delta**4
     return out
-
-
-def weight_values(kind, grid, L=None, lam=None, delta=None):
-    """Evaluate the requested weight on the grid nodes."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown weight kind {kind!r}")
-    if kind in ("rho_k", "tilde_rho_k"):
-        if L is None or L <= 0:
-            raise ValueError("L must be positive")
-        fn = rho_k if kind == "rho_k" else tilde_rho_k
-        vals = fn(grid.nodes, L)
-        params = {"L": float(L)}
-    else:
-        if delta is None or delta <= 0:
-            raise ValueError("delta must be positive")
-        if lam is None:
-            raise ValueError("lam is required")
-        fn = cutoff_rho if kind == "cutoff_rho" else cutoff_chi
-        vals = fn(grid.nodes, lam, delta)
-        params = {"lam": float(lam), "delta": float(delta)}
-    vals.setflags(write=False)
-    return WeightProfile(kind=kind, params=params, values=vals)

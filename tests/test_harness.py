@@ -334,7 +334,8 @@ def test_wall_coefficient_magnitude_bound():
         case = ResolventCase(nu=nu, k=k, lam=lam, bc="non_slip")
         pair = R.homogeneous_airy(case, g, ops)
         L = case.L
-        m, s = a0_scaled(L * pair.d + 1j * case.epsilon)
+        d = -1 - lam - 1j * k * nu
+        m, s = a0_scaled(L * d + 1j * case.epsilon)
         log_bound = pair.C11.abs_log() + (s + math.log(abs(m))) \
             - (math.log(L) - 2 * k)
         worst = max(worst, log_bound)

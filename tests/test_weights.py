@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from couettelab.grid import build_grid, quadrature
-from couettelab.weights import cutoff_chi, rho_k, tilde_rho_k, weight_values
+from couettelab.weights import cutoff_chi, rho_k
 
 
 @pytest.fixture(scope="module")
@@ -13,61 +13,24 @@ def grid():
 
 
 def test_rho_k_profile(grid):
-    p = weight_values("rho_k", grid, L=2.0)
+    values = rho_k(grid.nodes, 2.0)
     y = grid.nodes
-    assert np.all((p.values >= 0) & (p.values <= 1))
+    assert np.all((values >= 0) & (values <= 1))
     core = np.abs(y) <= 0.5
-    assert np.allclose(p.values[core], 1.0)
-    assert p.values[0] == 0.0 and p.values[-1] == 0.0
+    assert np.allclose(values[core], 1.0)
+    assert values[0] == 0.0 and values[-1] == 0.0
     assert rho_k(np.array([0.0]), 2.0)[0] == 1.0
-
-
-def test_tilde_rho_comparable_and_c2(grid):
-    L = 9.0
-    y = np.linspace(-1, 1, 20001)
-    r = rho_k(y, L)
-    rt = tilde_rho_k(y, L)
-    mask = r > 0
-    ratio = rt[mask] / r[mask]
-    c_emp = max(ratio.max(), 1.0 / ratio.min())
-    assert c_emp <= 3.0 + 1e-9  # recorded comparability constant
-    # C^2 smoothness by finite differences: |d| <= 3L, |d2| <= 6L^2
-    h = y[1] - y[0]
-    d1 = np.gradient(rt, h)
-    d2 = np.gradient(d1, h)
-    assert np.max(np.abs(d1)) <= 3.0 * L * (1 + 1e-2)
-    assert np.max(np.abs(d2[5:-5])) <= 6.0 * L**2 * (1 + 5e-2)
-
-
-def test_cutoff_rho(grid):
-    lam, delta = 0.2, 0.1
-    p = weight_values("cutoff_rho", grid, lam=lam, delta=delta)
-    y = grid.nodes
-    assert np.all(p.values[y < lam - delta] == -1.0)
-    assert np.all(p.values[y > lam + delta] == 1.0)
-    mid = np.abs(y - lam) < delta
-    expect = np.sin(np.pi * (y[mid] - lam) / (2 * delta))
-    assert np.allclose(p.values[mid], expect)
 
 
 def test_cutoff_chi(grid):
     lam, delta = 0.0, 0.1
-    p = weight_values("cutoff_chi", grid, lam=lam, delta=delta)
+    values = cutoff_chi(grid.nodes, lam, delta)
     y = grid.nodes
     j = np.argmin(np.abs(y - 0.5))
-    assert abs(p.values[j] - 1.0 / (y[j] - lam)) < 1e-14
+    assert abs(values[j] - 1.0 / (y[j] - lam)) < 1e-14
     # sup bound ~ 1.089/delta at the interior extremum
     dense = cutoff_chi(np.linspace(-1, 1, 100001), lam, delta)
     assert np.max(np.abs(dense)) <= 1.1 / delta
-
-
-def test_weight_validation(grid):
-    with pytest.raises(ValueError):
-        weight_values("rho_k", grid, L=-1.0)
-    with pytest.raises(ValueError):
-        weight_values("cutoff_chi", grid, lam=0.0, delta=0.0)
-    with pytest.raises(ValueError):
-        weight_values("bogus", grid, L=1.0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
