@@ -23,8 +23,7 @@ from .resolvent import (ResolventCase, ForcingSpec, ResolventSolution,
                         homogeneous_airy, homogeneous_bvp, recover_velocity,
                         solve, solve_navier, solve_nonslip)
 from .norms import NormBundle
-from .harness import (ScalingFit, SpectralGapReport, SweepSpec, fit_loglog,
-                      spectrum)
+from .harness import ScalingFit, SpectralGapReport, fit_loglog, spectrum
 from .evolution import EvolutionCase, SpaceTimeLedger, homogeneous_splitting
 from .nonlinear import (EnergyFunctional, PerturbationState, ThresholdProbe,
                         probe_threshold)

@@ -121,60 +121,35 @@ def cmd_homog(args):
     return _finish(rep, args)
 
 
-_SWEEPS = {
-    "navier_l2": harness.verify_navier_l2,
-    "navier_hm1": harness.verify_navier_hm1,
-    "nonslip": harness.verify_nonslip,
-}
-
-# fit name -> the norm column it was fitted on
-_FIT_COLUMNS = {
-    "navier_l2_w_l2": "l2", "navier_l2_u_l2": "u_l2",
-    "navier_l2_w_prime": "w_prime_l2", "navier_l2_w_l1": "l1",
-    "navier_hm1_u_l2": "u_l2", "navier_hm1_w_l2": "l2",
-    "nonslip_l2_w_l2": "l2", "nonslip_l2_w_l1": "l1",
-    "nonslip_hm1_w_l2": "l2", "nonslip_hm1_rho_w": "rho_half",
-    "nonslip_hm1_u_l2": "u_l2",
-}
-
-
 def cmd_sweep(args):
     cfg, text = _load(args, "sweep")
     s = cfg["sweep"]
-    if s["check"] not in _SWEEPS:
+    check = harness.SWEEP_CHECKS.get(s["check"])
+    if check is None:
         raise ConfigError(f"unknown check {s['check']!r}")
-    bc = "non_slip" if s["check"] == "nonslip" else "navier_slip"
-    sw = harness.SweepSpec(nu_values=tuple(s["nu"]), k_values=tuple(s["k"]))
-    fits, constants, rows = _SWEEPS[s["check"]](sw)
-    if s["check"] == "nonslip":
-        rows_by_kind = {"l2": rows[0], "hm1": rows[1]}
-    else:
-        rows_by_kind = {"l2": rows, "hm1": rows}
+    fits, constants, rows = harness.verify_sweep(s["check"], s["nu"], s["k"])
     rep = ReportDocument(provenance=provenance(text))
-    svg_specs = []
-    kind0 = next(iter(rows_by_kind))
-    for i, row in enumerate(rows_by_kind[kind0]):
+    for i, row in enumerate(rows):
         rep.add_record(CaseRecord(
             id=f"sweep_{i:04d}",
-            params={"nu": row["nu"], "k": row["k"], "n": row["n"], "bc": bc},
+            params={"nu": row["nu"], "k": row["k"], "n": row["n"],
+                    "data": row["data"], "bc": check["bc"]},
             results={key: v for key, v in row.items()
-                     if key not in ("nu", "k", "n")}))
-    for f in fits:
+                     if key not in ("nu", "k", "n", "data")}))
+    svg_specs = []
+    for f, (_, data, col, _) in zip(fits, check["fits"]):
         rep.fits.append(f.as_dict())
         rep.verdicts[f.name] = f.passed
-        col = _FIT_COLUMNS.get(f.name)
-        if col:
-            kind = "hm1" if "hm1" in f.name else "l2"
-            data = rows_by_kind[kind]
-            svg_specs.append({
-                "name": f.name,
-                "xs": [r["nu"] for r in data],
-                "ys": [r[col] for r in data],
-                "fit": {"exponent": f.exponent, "intercept": f.intercept},
-                "targets": (f.target_exponent,),
-                "title": f"{f.name}: slope {f.exponent:.4f} "
-                         f"(target {f.target_exponent:.4f})",
-            })
+        fitted = [r for r in rows if r["data"] == data]
+        svg_specs.append({
+            "name": f.name,
+            "xs": [r["nu"] for r in fitted],
+            "ys": [r[col] for r in fitted],
+            "fit": {"exponent": f.exponent, "intercept": f.intercept},
+            "targets": (f.target_exponent,),
+            "title": f"{f.name}: slope {f.exponent:.4f} "
+                     f"(target {f.target_exponent:.4f})",
+        })
     for name, val in constants.items():
         rep.fits.append({"name": f"constant_{name}", "value": val})
     return _finish(rep, args, svg_specs=svg_specs)
@@ -277,7 +252,7 @@ def cmd_report(args):
     if "resolvent" in blocks:
         def one(inu_nu):
             i, nu = inu_nu
-            k = r["k"][0]
+            k = r["k"]
             g, ops = grid_for(nu, k)
             case = ResolventCase(nu=nu, k=k, lam=0.0, bc="non_slip")
             fvals = harness.FORCINGS["exp_ipiy"](g.nodes)

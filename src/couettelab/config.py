@@ -13,6 +13,7 @@ Unknown keys, malformed lines, and constraint violations raise ConfigError
 with the offending line number.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -37,10 +38,6 @@ def _int(text):
 
 def _num_list(text):
     return tuple(_num(p.strip()) for p in text.split(",") if p.strip())
-
-
-def _int_list(text):
-    return tuple(_int(p.strip()) for p in text.split(",") if p.strip())
 
 
 def _str(text):
@@ -90,8 +87,7 @@ SCHEMA = {
         "sweep": {
             "check": _Key(_str, "navier_l2"),
             "nu": _Key(_num_list, (1e-2, 1e-3, 1e-4)),
-            "k": _Key(_int_list, (1,)),
-            "fit": _Key(_int, 1),
+            "k": _Key(_int, 1),
         },
     },
     "spectrum": {
@@ -126,7 +122,7 @@ SCHEMA = {
         "report": {
             "blocks": _Key(_str, "airy,resolvent"),
             "nu": _Key(_num_list, (1e-2, 1e-3, 1e-4)),
-            "k": _Key(_int_list, (1,)),
+            "k": _Key(_int, 1),
         },
     },
 }
@@ -172,14 +168,11 @@ def _validate(command, cfg):
             nus = keys["nu"] if isinstance(keys["nu"], tuple) else (keys["nu"],)
             if any(nu <= 0 for nu in nus):
                 raise ConfigError("nu must be positive")
-        if "k" in keys:
-            ks = keys["k"] if isinstance(keys["k"], tuple) else (keys["k"],)
-            if any(abs(k) < 1 for k in ks):
-                raise ConfigError("k must satisfy |k| >= 1")
-    if command == "sweep" and cfg["sweep"]["fit"]:
-        import math
+        if "k" in keys and abs(keys["k"]) < 1:
+            raise ConfigError("k must satisfy |k| >= 1")
+    if command == "sweep":
         nus = cfg["sweep"]["nu"]
-        if math.log10(max(nus) / min(nus)) < 2.0 - 1e-9:
+        if not nus or math.log10(max(nus) / min(nus)) < 2.0 - 1e-9:
             raise ConfigError("exponent fit requires >= 2 decades")
     if command == "threshold":
         lo, hi = cfg["threshold"]["amplitude_lo"], cfg["threshold"]["amplitude_hi"]

@@ -2,7 +2,11 @@
 
 Each proved bound is checked one of two ways: a log-log fit of a sweep
 against the predicted power (ScalingFit), or a recorded constant that must
-be stable under grid refinement.
+be stable under grid refinement.  The resolvent nu-sweeps are the entries of
+SWEEP_CHECKS: each names its walls, which norm column of which data kind is
+fitted against which power, and which constants it records.  verify_sweep
+runs one entry and returns its fits, its constants and its rows, each row
+tagged with its data kind.
 
 Fit sweeps use the worst-case forcing: a fixed smooth right-hand side does
 not saturate the resolvent bounds (its response grows far slower than the
@@ -51,6 +55,8 @@ class ScalingFit:
     def as_dict(self):
         d = dict(self.__dict__)
         d["passed"] = self.passed
+        # |exponent - target| in units of the tolerance; <= 1 passes that test
+        d["margin"] = abs(self.exponent - self.target_exponent) / self.tolerance
         return d
 
 
@@ -64,24 +70,6 @@ def fit_loglog(name, xs, values, target, tolerance=0.05):
     return ScalingFit(name=name, exponent=float(slope), intercept=float(intercept),
                       r2=float(r2), target_exponent=float(target),
                       tolerance=tolerance)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    nu_values: tuple
-    k_values: tuple = (1,)
-
-    def __post_init__(self):
-        if len(self.nu_values) == 0 or len(self.k_values) == 0:
-            raise ValueError("nu_values and k_values must be nonempty")
-
-    def decades(self):
-        lo, hi = min(self.nu_values), max(self.nu_values)
-        return math.log10(hi / lo)
-
-    def require_fit_range(self):
-        if self.decades() < 2.0 - 1e-9:
-            raise ValueError("exponent fit requires >= 2 decades")
 
 
 FORCINGS = {
@@ -317,104 +305,102 @@ def worst_case_norms(nu, k, bc, data, n_override=None, lambdas=None):
 
 
 def _sweep_row(nu, k, bc, data):
-    """One row of a verification sweep: nu, k, N, the per-norm suprema and
-    power_unconverged, the number of lambdas whose power iteration stopped
-    at its cap."""
+    """One row of a verification sweep: nu, k, N, the data kind, the
+    per-norm suprema and power_unconverged, the number of lambdas whose
+    power iteration stopped at its cap."""
+    if nu * k**2 > 1.0:
+        raise ValueError(f"sweep requires nu k^2 <= 1, got nu = {nu}, k = {k}")
     sweeper = _WorstCaseSweeper(nu, k, bc, data)
     sup, _ = sweeper.sweep()
-    return dict(nu=nu, k=k, n=sweeper.grid.order, **sup,
+    return dict(nu=nu, k=k, n=sweeper.grid.order, data=data, **sup,
                 power_unconverged=len(sweeper.unconverged))
 
 
 # -- named verification sweeps ------------------------------------------------
 
-def verify_navier_l2(sweep):
-    """Vorticity-Dirichlet, L2 data: fits against the proved powers."""
-    sweep.require_fit_range()
-    k = sweep.k_values[0]
-    rows = []
-    for nu in sweep.nu_values:
-        rows.append(_sweep_row(nu, k, "navier_slip", "l2"))
-    nus = [r["nu"] for r in rows]
-    fits = [
-        fit_loglog("navier_l2_w_l2", nus, [r["l2"] for r in rows], -1.0 / 3.0),
-        fit_loglog("navier_l2_u_l2", nus, [r["u_l2"] for r in rows], -1.0 / 6.0),
-        fit_loglog("navier_l2_w_prime", nus, [r["w_prime_l2"] for r in rows], -2.0 / 3.0),
-        fit_loglog("navier_l2_w_l1", nus, [r["l1"] for r in rows], -1.0 / 6.0),
-    ]
-    constants = {
-        "const_w_l2": max((nu * k**2) ** (1 / 3) * r["l2"] for nu, r in zip(nus, rows)),
-        "const_u_l2": max(nu ** (1 / 6) * abs(k) ** (4 / 3) * r["u_l2"]
-                         for nu, r in zip(nus, rows)),
-        "const_critical": max(abs(k) * r["critical"] for r in rows),
-        "const_w_l1": max(nu ** (1 / 6) * abs(k) ** (5 / 6) * r["l1"]
-                         for nu, r in zip(nus, rows)),
-    }
-    # contour-shift smallness for the recorded constant: C * eps <= 1/2
-    constants["epsilon_times_C"] = EPSILON_MAX * constants["const_w_l2"]
+#: The resolvent nu-sweep checks.  Each gives its walls, its fits as
+#: (name, data kind, norm column, target nu power) and its recorded constants
+#: as (name, data kind, norm column, nu power a, |k| power b, factor): factor
+#: times the largest nu^a |k|^b column over the rows of that data kind.  The
+#: data kinds are the sweeper's: "l2" forcing, and "pair" data (f1 = 0,
+#: F = -d f2/dy, sized by ||f2||_2).
+SWEEP_CHECKS = {
+    "navier_l2": {
+        "bc": "navier_slip",
+        "fits": (
+            ("navier_l2_w_l2", "l2", "l2", -1.0 / 3.0),
+            ("navier_l2_u_l2", "l2", "u_l2", -1.0 / 6.0),
+            ("navier_l2_w_prime", "l2", "w_prime_l2", -2.0 / 3.0),
+            ("navier_l2_w_l1", "l2", "l1", -1.0 / 6.0),
+        ),
+        "constants": (
+            ("const_w_l2", "l2", "l2", 1 / 3, 2 / 3, 1.0),
+            ("const_u_l2", "l2", "u_l2", 1 / 6, 4 / 3, 1.0),
+            ("const_critical", "l2", "critical", 0, 1, 1.0),
+            ("const_w_l1", "l2", "l1", 1 / 6, 5 / 6, 1.0),
+            # contour-shift smallness for the recorded constant: C * eps <= 1/2
+            ("epsilon_times_C", "l2", "l2", 1 / 3, 2 / 3, EPSILON_MAX),
+        ),
+    },
+    "navier_hm1": {
+        "bc": "navier_slip",
+        "fits": (
+            ("navier_hm1_u_l2", "pair", "u_l2", -0.5),
+            ("navier_hm1_w_l2", "pair", "l2", -2.0 / 3.0),
+        ),
+        "constants": (
+            ("const_u_l2", "pair", "u_l2", 0.5, 1, 1.0),
+            ("const_w_l2", "pair", "l2", 2 / 3, 1 / 3, 1.0),
+            ("const_w_prime", "pair", "w_prime_l2", 1, 0, 1.0),
+        ),
+    },
+    "nonslip": {
+        "bc": "non_slip",
+        "fits": (
+            ("nonslip_l2_w_l2", "l2", "l2", -5.0 / 12.0),
+            ("nonslip_l2_w_l1", "l2", "l1", -1.0 / 6.0),
+            ("nonslip_hm1_w_l2", "pair", "l2", -3.0 / 4.0),
+            ("nonslip_hm1_rho_w", "pair", "rho_half", -2.0 / 3.0),
+            ("nonslip_hm1_u_l2", "pair", "u_l2", -1.0 / 2.0),
+        ),
+        "constants": (
+            ("const_l2_w", "l2", "l2", 5 / 12, 5 / 6, 1.0),
+            ("const_hm1_w", "pair", "l2", 0.75, 0.5, 1.0),
+            ("const_hm1_u", "pair", "u_l2", 0.5, 1, 1.0),
+        ),
+    },
+}
+
+
+def verify_sweep(check, nu_values, k=1):
+    """Run the SWEEP_CHECKS entry `check` at wavenumber k over nu_values.
+
+    Returns (fits, constants, rows).  Every row carries its data kind under
+    "data"; the rows of each kind the check reads come in nu order, the
+    kinds in their order of first use in the check.
+    """
+    spec = SWEEP_CHECKS[check]
+    if not nu_values or math.log10(max(nu_values) / min(nu_values)) < 2.0 - 1e-9:
+        raise ValueError("exponent fit requires >= 2 decades")
+    kinds = dict.fromkeys(entry[1] for entry in spec["fits"] + spec["constants"])
+    rows = [_sweep_row(nu, k, spec["bc"], data) for data in kinds for nu in nu_values]
+    of_kind = {data: [r for r in rows if r["data"] == data] for data in kinds}
+    fits = [fit_loglog(name, [r["nu"] for r in of_kind[data]],
+                       [r[col] for r in of_kind[data]], target)
+            for name, data, col, target in spec["fits"]]
+    constants = {name: max(factor * (r["nu"] ** a * abs(k) ** b * r[col])
+                           for r in of_kind[data])
+                 for name, data, col, a, b, factor in spec["constants"]}
     return fits, constants, rows
 
 
-def verify_navier_k(sweep, nu=1e-4):
+def verify_navier_k(k_values, nu=1e-4):
     """k-sweep companion: ||w||_2 response ~ |k|^{-2/3} at fixed nu."""
-    rows = []
-    for k in sweep.k_values:
-        if nu * k**2 > 1.0:
-            raise ValueError("k sweep requires nu k^2 <= 1")
-        rows.append(_sweep_row(nu, k, "navier_slip", "l2"))
+    rows = [_sweep_row(nu, k, "navier_slip", "l2") for k in k_values]
     ks = [abs(r["k"]) for r in rows]
     fits = [fit_loglog("navier_l2_w_l2_in_k", ks, [r["l2"] for r in rows],
                        -2.0 / 3.0, tolerance=0.05)]
     return fits, rows
-
-
-def verify_navier_hm1(sweep):
-    """Divergence-pair data (f1 = 0), normalized by ||f2||_2."""
-    sweep.require_fit_range()
-    k = sweep.k_values[0]
-    rows = []
-    for nu in sweep.nu_values:
-        rows.append(_sweep_row(nu, k, "navier_slip", "pair"))
-    nus = [r["nu"] for r in rows]
-    fits = [
-        fit_loglog("navier_hm1_u_l2", nus, [r["u_l2"] for r in rows], -0.5),
-        fit_loglog("navier_hm1_w_l2", nus, [r["l2"] for r in rows], -2.0 / 3.0),
-    ]
-    constants = {
-        "const_u_l2": max((nu * k**2) ** 0.5 * r["u_l2"] for nu, r in zip(nus, rows)),
-        "const_w_l2": max(nu ** (2 / 3) * abs(k) ** (1 / 3) * r["l2"]
-                         for nu, r in zip(nus, rows)),
-        "const_w_prime": max(nu * r["w_prime_l2"] for nu, r in zip(nus, rows)),
-    }
-    return fits, constants, rows
-
-
-def verify_nonslip(sweep):
-    """Velocity-Dirichlet sweeps, nu k^2 <= 1: L2 data and pair data."""
-    sweep.require_fit_range()
-    k = sweep.k_values[0]
-    rows_l2, rows_h = [], []
-    for nu in sweep.nu_values:
-        if nu * k**2 > 1.0:
-            raise ValueError("small-viscosity sweep requires nu k^2 <= 1")
-        rows_l2.append(_sweep_row(nu, k, "non_slip", "l2"))
-        rows_h.append(_sweep_row(nu, k, "non_slip", "pair"))
-    nus = [r["nu"] for r in rows_l2]
-    fits = [
-        fit_loglog("nonslip_l2_w_l2", nus, [r["l2"] for r in rows_l2], -5.0 / 12.0),
-        fit_loglog("nonslip_l2_w_l1", nus, [r["l1"] for r in rows_l2], -1.0 / 6.0),
-        fit_loglog("nonslip_hm1_w_l2", nus, [r["l2"] for r in rows_h], -3.0 / 4.0),
-        fit_loglog("nonslip_hm1_rho_w", nus, [r["rho_half"] for r in rows_h], -2.0 / 3.0),
-        fit_loglog("nonslip_hm1_u_l2", nus, [r["u_l2"] for r in rows_h], -1.0 / 2.0),
-    ]
-    constants = {
-        "const_l2_w": max(nu ** (5 / 12) * abs(k) ** (5 / 6) * r["l2"]
-                         for nu, r in zip(nus, rows_l2)),
-        "const_hm1_w": max(nu ** 0.75 * abs(k) ** 0.5 * r["l2"]
-                          for nu, r in zip(nus, rows_h)),
-        "const_hm1_u": max((nu * k**2) ** 0.5 * r["u_l2"] for nu, r in zip(nus, rows_h)),
-    }
-    return fits, constants, (rows_l2, rows_h)
 
 
 def verify_nonslip_large(nu, k, n_override=None):

@@ -88,8 +88,7 @@ def test_criterion_02_airy_kernel_accuracy():
 
 def test_criterion_03_navier_resolvent_scaling():
     with _criterion(3, "vorticity-Dirichlet exponents -1/3 (w), -1/6 (u)", 300):
-        sw = H.SweepSpec(nu_values=NU_SWEEP, k_values=(1,))
-        fits, constants, _ = H.verify_navier_l2(sw)
+        fits, constants, _ = H.verify_sweep("navier_l2", NU_SWEEP, k=1)
         by_name = {f.name: f for f in fits}
         fw = by_name["navier_l2_w_l2"]
         fu = by_name["navier_l2_u_l2"]
@@ -101,8 +100,7 @@ def test_criterion_03_navier_resolvent_scaling():
 
 def test_criterion_04_nonslip_resolvent_scaling():
     with _criterion(4, "velocity-Dirichlet exponents -5/12 (w, L2), -1/2 (u, pair)", 600):
-        sw = H.SweepSpec(nu_values=NU_SWEEP, k_values=(1,))
-        fits, _, _ = H.verify_nonslip(sw)
+        fits, _, _ = H.verify_sweep("nonslip", NU_SWEEP, k=1)
         by_name = {f.name: f for f in fits}
         fw = by_name["nonslip_l2_w_l2"]
         fu = by_name["nonslip_hm1_u_l2"]

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 from couettelab.grid import build_diff_ops, build_grid, default_order, l2_norm
 from couettelab import harness as H
-from couettelab.norms import norms
+from couettelab.norms import NormBundle, norms
 from couettelab.resolvent import (ResolventCase, ResolventSolution,
                                   direct_forcing, pair_forcing,
                                   recover_velocity, solve_navier, solve_nonslip,
@@ -46,14 +46,44 @@ def test_fit_loglog_exact_power():
     assert fit.r2 > 1 - 1e-12 and fit.passed
     bad = H.fit_loglog("t", xs, 3.0 * xs ** -0.3, target=-0.5)
     assert not bad.passed
+    # margin = |exponent - target| / tolerance
+    assert fit.as_dict()["margin"] < 1e-9
+    assert abs(bad.as_dict()["margin"] - 4.0) < 1e-9
 
 
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
-        H.SweepSpec(nu_values=(), k_values=(1,))
-    sw = H.SweepSpec(nu_values=(1e-3, 5e-4), k_values=(1,))
+        H.verify_sweep("navier_l2", ())
     with pytest.raises(ValueError, match="2 decades"):
-        sw.require_fit_range()
+        H.verify_sweep("navier_l2", (1e-3, 5e-4))
+    with pytest.raises(ValueError, match=r"nu k\^2 <= 1, got nu = 2.0"):
+        H.verify_sweep("navier_l2", (2.0, 2e-2))
+
+
+def test_sweep_checks_table():
+    # names, data kinds and columns only; no sweep is run
+    columns = set(NormBundle.__dataclass_fields__)
+    for check, spec in H.SWEEP_CHECKS.items():
+        assert spec["bc"] in ("navier_slip", "non_slip"), check
+        for entries in (spec["fits"], spec["constants"]):
+            names = [entry[0] for entry in entries]
+            assert len(set(names)) == len(names), check
+            for name, data, col, *_ in entries:
+                assert data in ("l2", "pair"), name
+                assert col in columns, name
+    names = {check: ([f[0] for f in spec["fits"]], [c[0] for c in spec["constants"]])
+             for check, spec in H.SWEEP_CHECKS.items()}
+    assert names == {
+        "navier_l2": (["navier_l2_w_l2", "navier_l2_u_l2", "navier_l2_w_prime",
+                       "navier_l2_w_l1"],
+                      ["const_w_l2", "const_u_l2", "const_critical", "const_w_l1",
+                       "epsilon_times_C"]),
+        "navier_hm1": (["navier_hm1_u_l2", "navier_hm1_w_l2"],
+                       ["const_u_l2", "const_w_l2", "const_w_prime"]),
+        "nonslip": (["nonslip_l2_w_l2", "nonslip_l2_w_l1", "nonslip_hm1_w_l2",
+                     "nonslip_hm1_rho_w", "nonslip_hm1_u_l2"],
+                    ["const_l2_w", "const_hm1_w", "const_hm1_u"]),
+    }
 
 
 def test_resolution_rule_enforced():
@@ -206,11 +236,10 @@ def test_sweep_rows_report_power_unconverged(monkeypatch):
     power = H._power_sigma_max
     monkeypatch.setattr(H, "_power_sigma_max",
                         lambda *args, **kw: power(*args, **dict(kw, iters=3)))
-    sweep = H.SweepSpec(nu_values=(1e-3,), k_values=(1, 2))
-    _, rows = H.verify_navier_k(sweep, nu=1e-3)
+    _, rows = H.verify_navier_k((1, 2), nu=1e-3)
     assert [r["power_unconverged"] for r in rows] == [57, 57]
     monkeypatch.setattr(H, "_power_sigma_max", power)
-    _, rows = H.verify_navier_k(sweep, nu=1e-3)
+    _, rows = H.verify_navier_k((1, 2), nu=1e-3)
     assert [r["power_unconverged"] for r in rows] == [0, 0]
 
 
@@ -241,8 +270,7 @@ def test_spectrum_k_zero_rejected():
 
 
 def test_verify_navier_k_small():
-    sw = H.SweepSpec(nu_values=(1e-4,), k_values=(1, 2, 4, 8, 16))
-    fits, rows = H.verify_navier_k(sw, nu=1e-4)
+    fits, rows = H.verify_navier_k((1, 2, 4, 8, 16), nu=1e-4)
     assert fits[0].passed, fits[0]
 
 

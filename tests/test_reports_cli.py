@@ -37,8 +37,11 @@ def test_nu_must_be_positive():
 def test_fit_requires_two_decades():
     with pytest.raises(ConfigError, match="2 decades"):
         parse_config("[sweep]\nnu = 1e-3\n", "sweep")
-    cfg = parse_config("[sweep]\nnu = 1e-3, 1e-4, 1e-5\nfit = 0\n", "sweep")
-    assert cfg["sweep"]["fit"] == 0
+    with pytest.raises(ConfigError, match="2 decades"):
+        parse_config("[sweep]\nnu =\n", "sweep")
+    # every sweep check fits, so there is no key to skip the rule
+    with pytest.raises(ConfigError, match="line 3: unknown key 'fit'"):
+        parse_config("[sweep]\nnu = 1e-3, 1e-4, 1e-5\nfit = 0\n", "sweep")
 
 
 def test_type_mismatch():
@@ -46,6 +49,10 @@ def test_type_mismatch():
         parse_config("[case]\nnu = abc\n", "resolvent")
     with pytest.raises(ConfigError, match="integer"):
         parse_config("[case]\nk = 1.5\n", "resolvent")
+    # one wavenumber per sweep and per report; a list is not cut to its head
+    for command in ("sweep", "report"):
+        with pytest.raises(ConfigError, match="line 2: k: expected a number"):
+            parse_config(f"[{command}]\nk = 1, 2\n", command)
 
 
 # -- reports -------------------------------------------------------------------
@@ -153,6 +160,40 @@ def test_cli_config_error_exit_code(tmp_path):
     cfg.write_text("[case]\nnu = -3\n")
     rc = main(["resolvent", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_cli_sweep_records_every_data_kind(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[sweep]\ncheck = nonslip\nnu = 1e-1, 1e-2, 1e-3\n")
+    out = tmp_path / "o"
+    rc = main(["sweep", "--config", str(cfg), "--out", str(out),
+               "--format", "json", "--format", "svg"])
+    assert rc in (0, 1)
+    doc = json.load(open(out / "report.json"))
+    records = doc["records"]
+    assert len(records) == 6
+    assert sorted(r["params"]["data"] for r in records) == ["l2"] * 3 + ["pair"] * 3
+    # fit -> (data kind, norm column) it is fitted on
+    fitted_on = {
+        "nonslip_l2_w_l2": ("l2", "l2"), "nonslip_l2_w_l1": ("l2", "l1"),
+        "nonslip_hm1_w_l2": ("pair", "l2"), "nonslip_hm1_rho_w": ("pair", "rho_half"),
+        "nonslip_hm1_u_l2": ("pair", "u_l2"),
+    }
+    fits = [f for f in doc["fits"] if "exponent" in f]
+    assert [f["name"] for f in fits] == list(fitted_on)
+    assert all("margin" in f for f in fits)
+
+    def circles(path):
+        return [line for line in open(path).read().splitlines()
+                if line.startswith("<circle")]
+
+    for name, (data, col) in fitted_on.items():
+        rows = [r for r in records if r["params"]["data"] == data]
+        expect = svg_loglog(str(tmp_path / "expect.svg"),
+                            xs=[r["params"]["nu"] for r in rows],
+                            ys=[r["results"][col] for r in rows])
+        assert len(circles(expect)) == 3
+        assert circles(out / f"{name}.svg") == circles(expect), name
 
 
 def test_cli_report_deterministic(tmp_path):
