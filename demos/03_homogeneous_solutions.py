@@ -2,9 +2,9 @@
 
 The two wall-normalized homogeneous solutions are built twice: from scaled
 Airy evaluations on the rotated critical-layer coordinate with coefficients
-from the wall-moment system, and from a bordered coupled solve.  They agree
-to spectral accuracy, and the wall derivatives land exactly on (1, 0) and
-(0, 1).
+from the wall-moment system, and from one solve of the moment-bordered
+vorticity matrix.  They agree to spectral accuracy, and the wall derivatives
+land on (1, 0) and (0, 1).
 """
 
 import numpy as np

@@ -16,6 +16,8 @@ with the offending line number.
 import math
 from dataclasses import dataclass
 
+from .grid import default_order
+
 
 class ConfigError(ValueError):
     pass
@@ -171,9 +173,17 @@ def _validate(command, cfg):
         if "k" in keys and abs(keys["k"]) < 1:
             raise ConfigError("k must satisfy |k| >= 1")
     if command == "sweep":
-        nus = cfg["sweep"]["nu"]
+        nus, k = cfg["sweep"]["nu"], cfg["sweep"]["k"]
         if not nus or math.log10(max(nus) / min(nus)) < 2.0 - 1e-9:
             raise ConfigError("exponent fit requires >= 2 decades")
+        # every row's case, checked before the first row runs
+        for nu in nus:
+            if nu * k**2 > 1.0:
+                raise ConfigError(f"sweep requires nu k^2 <= 1, got nu = {nu:g}, k = {k}")
+            try:
+                default_order(nu, k)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
     if command == "threshold":
         lo, hi = cfg["threshold"]["amplitude_lo"], cfg["threshold"]["amplitude_hi"]
         if not lo < hi:

@@ -28,11 +28,11 @@ from .grid import (grid_for, l1_norm, l2_norm, quadrature, real_apply,
                    wall_moment_rows)
 from .norms import norms
 from .resolvent import (EPSILON_MAX, EllipticSolver, ResolventCase,
-                        ResolventSolution, airy_admissible, airy_kernels,
+                        ResolventSolution, airy_kernels,
                         bordered_vorticity_matrix, coefficient_rows,
-                        direct_forcing, homogeneous_airy, homogeneous_bvp,
-                        pair_forcing, recover_velocity, solve_nonslip,
-                        vorticity_matrix, write_shear)
+                        direct_forcing, homogeneous_airy, pair_forcing,
+                        recover_velocity, solve_nonslip, vorticity_matrix,
+                        write_shear)
 from .weights import cutoff_chi, rho_k
 
 
@@ -134,7 +134,8 @@ class _WorstCaseSweeper:
     pair; the maximizing forcing is then solved normally and every norm of
     its solution is recorded.  Suprema are taken over all lambdas visited.
     The lambdas whose power iteration stopped at its cap unconverged are
-    kept in ``unconverged``, in visit order.
+    kept in ``unconverged``, in visit order.  Both walls are one code path:
+    bc only picks the rows bordered_vorticity_matrix puts at y = +-1.
     """
 
     def __init__(self, nu, k, bc, data, n_override=None):
@@ -151,30 +152,16 @@ class _WorstCaseSweeper:
         # interior imaginary diagonal k(y - lam)
         self._operator = bordered_vorticity_matrix(
             ResolventCase(nu=nu, k=k, bc=bc), self.grid, self.ops)
-        if bc == "non_slip":
-            # (c1, c2) = sinh_rows @ w; complex, so the products with w are
-            # single BLAS calls
-            self.sinh_rows = coefficient_rows(self.grid, k)
 
-    def _factor(self, lam, kernels=None):
-        """(case, lu, walls) at lam.  lu is sla.lu_factor's (lu, piv) pair
-        plus the rows of P b that the interior nodes land in; walls holds
-        the homogeneous pair's w1, w2 as (2, N) rows, None for vorticity-
-        Dirichlet walls."""
+    def _factor(self, lam):
+        """(case, lu) at lam: sla.lu_factor's (lu, piv) pair plus the rows
+        of P b that the interior nodes land in."""
         case = ResolventCase(nu=self.nu, k=self.k, lam=lam, bc=self.bc)
         a = write_shear(self._operator.copy(order="F"), case, self.grid)
         lu, piv = sla.lu_factor(a, overwrite_a=True)
-        walls = None
-        if self.bc == "non_slip":
-            if airy_admissible(case):
-                pair = homogeneous_airy(case, self.grid, self.ops,
-                                        elliptic=self.elliptic, kernels=kernels)
-            else:
-                pair = homogeneous_bvp(case, self.grid, self.ops)
-            walls = np.array([pair.w1, pair.w2])
-        return case, (lu, piv, _pivot_rows(piv)[self.inner]), walls
+        return case, (lu, piv, _pivot_rows(piv)[self.inner])
 
-    def _apply_r(self, lu, walls, f_int):
+    def _apply_r(self, lu, f_int):
         """forcing (interior nodal values) -> vorticity (all nodes).
 
         With P A = L U the forcing is scattered straight into the rows of
@@ -186,41 +173,27 @@ class _WorstCaseSweeper:
         w[rows] = f_int
         ztrsv(a, w, lower=1, diag=1, overwrite_x=1)
         ztrsv(a, w, overwrite_x=1)
-        if walls is not None:
-            w += (self.sinh_rows @ w) @ walls
         return w
 
-    def _apply_rh(self, lu, walls, y_full):
+    def _apply_rh(self, lu, y_full):
         """Adjoint of _apply_r: A^H = U^H L^H P, restricted to the interior."""
         a, _, rows = lu
-        if walls is not None:
-            y_full = y_full + (walls.conj() @ y_full) @ self.sinh_rows
         z = ztrsv(a, y_full, trans=2)
         ztrsv(a, z, lower=1, diag=1, trans=2, overwrite_x=1)
         return z[rows]
 
-    def kernels_for(self, lambdas):
-        """Airy wall kernels of every lambda from one batch; None for each
-        lambda when the sweep's homogeneous pair is not the Airy one."""
-        case = ResolventCase(nu=self.nu, k=self.k, bc=self.bc)
-        if self.bc != "non_slip" or not airy_admissible(case):
-            return [None] * len(lambdas)
-        return airy_kernels([replace(case, lam=float(lam)) for lam in lambdas],
-                            self.grid)
-
-    def response_at(self, lam, kernels=None):
-        """Top singular pair of the solution operator at lam; ``kernels`` is
-        lam's slice of an airy_kernels batch, evaluated here when absent."""
-        case, lu, walls = self._factor(lam, kernels)
+    def response_at(self, lam):
+        """Top singular pair of the solution operator at lam."""
+        case, lu = self._factor(lam)
         sq_in = self.sqw[self.inner]
         n = self.grid.n_points
 
         if self.data == "l2":
             def t(x):
-                return self.sqw * self._apply_r(lu, walls, x / sq_in)
+                return self.sqw * self._apply_r(lu, x / sq_in)
 
             def th(y):
-                return self._apply_rh(lu, walls, self.sqw * y) / sq_in
+                return self._apply_rh(lu, self.sqw * y) / sq_in
 
             dim = n - 2
         else:  # divergence-pair data, f1 = 0: F = -d f2/dy, size ||f2||_2
@@ -228,10 +201,10 @@ class _WorstCaseSweeper:
 
             def t(x):
                 f_int = -real_apply(d1_in, x / self.sqw)
-                return self.sqw * self._apply_r(lu, walls, f_int)
+                return self.sqw * self._apply_r(lu, f_int)
 
             def th(y):
-                z = self._apply_rh(lu, walls, self.sqw * y)
+                z = self._apply_rh(lu, self.sqw * y)
                 return -real_apply(d1_in.T, z) / self.sqw
 
             dim = n
@@ -240,11 +213,11 @@ class _WorstCaseSweeper:
         self._warm = x
         if not converged:
             self.unconverged.append(lam)
-        return sigma, x, (case, lu, walls)
+        return sigma, x, (case, lu)
 
     def solution_for(self, x, ctx):
         """Assemble the maximizer's solution and its forcing norm."""
-        case, lu, walls = ctx
+        case, lu = ctx
         if self.data == "l2":
             f_int = x / self.sqw[self.inner]
             fnorm = math.sqrt(abs(np.sum(
@@ -253,7 +226,7 @@ class _WorstCaseSweeper:
             f2 = x / self.sqw
             fnorm = l2_norm(self.grid, f2)
             f_int = -real_apply(self.ops.d1, f2)[self.inner]
-        w = self._apply_r(lu, walls, f_int)
+        w = self._apply_r(lu, f_int)
         phi = self.elliptic.solve(w)
         sol = ResolventSolution(case=case, w=w, phi=phi,
                                 u=recover_velocity(phi, case.k, self.ops))
@@ -265,8 +238,8 @@ class _WorstCaseSweeper:
         sup = {}
         evals = []
 
-        def visit(lam, kernels=None):
-            sigma, x, ctx = self.response_at(float(lam), kernels)
+        def visit(lam):
+            sigma, x, ctx = self.response_at(float(lam))
             sol, fnorm = self.solution_for(x, ctx)
             nb = norms(sol, ctx[0], self.grid, self.ops)
             for key, val in nb.as_dict().items():
@@ -274,9 +247,7 @@ class _WorstCaseSweeper:
             evals.append((float(lam), sigma))
             return sigma
 
-        # the grid shares one Airy batch; the refinement visits evaluate
-        # their own kernels, since each depends on the previous response
-        vals = [visit(l, kern) for l, kern in zip(lambdas, self.kernels_for(lambdas))]
+        vals = [visit(lam) for lam in lambdas]
         j = int(np.argmax(vals))
         lo = lambdas[max(j - 1, 0)]
         hi = lambdas[min(j + 1, len(lambdas) - 1)]
@@ -437,9 +408,9 @@ def verify_c_bounds(nu, k, lambdas=None, forcing_key="exp_ipiy", n_override=None
     out = {"c1_l2": 0.0, "c2_l2": 0.0, "c1_hm1": 0.0, "c2_hm1": 0.0}
     # c1 and c2 are sinh moments of the vorticity-Dirichlet solution alone
     # (resolvent.coefficients), so no homogeneous pair is built; both
-    # forcings share one factorization of the bordered operator per lambda,
-    # and one product with the sinh rows gives [[c1, p1], [c2, p2]]
-    case = ResolventCase(nu=nu, k=k, bc="non_slip")
+    # forcings share one factorization of that operator per lambda, and one
+    # product with the sinh rows gives [[c1, p1], [c2, p2]]
+    case = ResolventCase(nu=nu, k=k, bc="navier_slip")
     rhs = np.column_stack([f.nodal_rhs(case, g, ops) for f in
                            (direct_forcing(fvals), pair_forcing(f2=fvals))])
     rhs[[0, -1]] = 0.0

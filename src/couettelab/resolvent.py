@@ -6,11 +6,15 @@ Vorticity-form equation on (-1, 1):
 
 Two boundary settings: vorticity Dirichlet w(+-1) = 0 ("navier_slip") and
 velocity Dirichlet phi(+-1) = phi'(+-1) = 0 ("non_slip"), phi the stream
-function with (d^2/dy^2 - k^2) phi = w.
+function with (d^2/dy^2 - k^2) phi = w.  Given phi(+-1) = 0, phi'(+-1) = 0
+is the same as zero wall moments <w, e^{+-ky}> (Quartapelle and Valz-Gris),
+so one N x N bordered matrix serves both walls.
 
-The non-slip problem is solved two ways: a monolithic bordered solve and
-the decomposition w = w_na + c1 w1 + c2 w2 whose homogeneous pieces come
-either from slanted Airy functions or from direct bordered solves.
+The non-slip problem is solved two ways: that monolithic solve and the
+decomposition w = w_na + c1 w1 + c2 w2 whose homogeneous pieces come
+either from slanted Airy functions or from moment-bordered solves.
+coupled_system, which imposes phi'(+-1) by derivative rows, is kept as an
+independent reference.
 
 k < 0 needs no case of its own: every dense operator at -k is the complex
 conjugate of the one at k, so the dense solves return conjugated results
@@ -26,7 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .airy import airy_scaled
-from .grid import border_dirichlet, real_apply
+from .grid import border_dirichlet, real_apply, wall_moment_rows
 from .scaled import Scaled, scaled_quadrature
 
 #: Largest admissible contour shift; the harness verifies C * EPSILON_MAX <= 1/2
@@ -192,13 +196,20 @@ def vorticity_matrix(case, grid, ops):
 
 
 def bordered_vorticity_matrix(case, grid, ops):
-    """vorticity_matrix with its rows at y = +-1 replaced by w = 0.
+    """vorticity_matrix with its rows at y = +-1 replaced by w = 0
+    (navier_slip) or by the wall moments <w, e^{+-|k|y}> (non_slip), whose
+    values a right-hand side sets; real and at |k|, so the matrix at -k is
+    the conjugate of the one at k.
 
     Fortran-ordered, so lu_factor(..., overwrite_a=True) factors it in
     place.  Only its interior imaginary diagonal k(y - lam) depends on lam;
     write_shear rewrites it for another lam.
     """
-    return border_dirichlet(np.asfortranarray(vorticity_matrix(case, grid, ops)))
+    a = np.asfortranarray(vorticity_matrix(case, grid, ops))
+    if case.bc == "navier_slip":
+        return border_dirichlet(a)
+    a[[0, -1]] = wall_moment_rows(grid, abs(case.k))
+    return a
 
 
 def write_shear(a, case, grid):
@@ -209,12 +220,10 @@ def write_shear(a, case, grid):
     return a
 
 
-def solve_navier(case, forcing, grid, ops, elliptic=None):
-    """Vorticity-Dirichlet resolvent solve; phi recovered elliptically."""
-    if case.bc != "navier_slip":
-        raise ValueError("solve_navier requires bc = navier_slip")
-    F = forcing.nodal_rhs(case, grid, ops)
-    rhs = F.copy()
+def _bordered_solve(case, forcing, grid, ops, elliptic):
+    """(w, phi): w from one solve of the case's bordered_vorticity_matrix with
+    zero wall rows on the right, phi recovered elliptically."""
+    rhs = forcing.nodal_rhs(case, grid, ops).copy()
     rhs[0] = rhs[-1] = 0.0
     try:
         w = np.linalg.solve(bordered_vorticity_matrix(case, grid, ops), rhs)
@@ -225,7 +234,14 @@ def solve_navier(case, forcing, grid, ops, elliptic=None):
         ) from exc
     if elliptic is None:
         elliptic = EllipticSolver(grid, ops, case.k)
-    phi = elliptic.solve(w)
+    return w, elliptic.solve(w)
+
+
+def solve_navier(case, forcing, grid, ops, elliptic=None):
+    """Vorticity-Dirichlet resolvent solve; phi recovered elliptically."""
+    if case.bc != "navier_slip":
+        raise ValueError("solve_navier requires bc = navier_slip")
+    w, phi = _bordered_solve(case, forcing, grid, ops, elliptic)
     return ResolventSolution(case=case, w=w, phi=phi,
                              u=recover_velocity(phi, case.k, ops),
                              w_na=w, path="vorticity_dirichlet")
@@ -346,11 +362,12 @@ def _conjugate_pair(p):
 
 
 def coupled_system(case, grid, ops):
-    """Second-order coupled (w, phi) system; avoids the N^8 growth of the
-    bordered fourth-order matrix at large resolution.
+    """Reference 2N x 2N coupled (w, phi) system, for checks only: the package
+    solves the no-slip walls on bordered_vorticity_matrix instead.
 
     Unknowns x = [w; phi].  Rows: interior vorticity equation, interior
-    elliptic link (d2 - k^2) phi = w, then four boundary rows.
+    elliptic link (d2 - k^2) phi = w, phi(+-1) = 0, and the wall derivatives
+    phi'(+-1) (rows 0 and n - 1, values set by the caller's rhs).
     """
     n = grid.n_points
     k = case.k
@@ -365,25 +382,29 @@ def coupled_system(case, grid, ops):
     # phi(+-1) = 0
     m[n, n] = 1.0
     m[2 * n - 1, 2 * n - 1] = 1.0
-    # wall-derivative rows (values set by the caller's rhs)
+    # wall-derivative rows
     m[0, n:] = ops.d1[0, :]
     m[n - 1, n:] = ops.d1[-1, :]
     return m
 
 
 def homogeneous_bvp(case, grid, ops):
-    """Homogeneous pair by direct bordered solves of the coupled system."""
-    n = grid.n_points
-    m = coupled_system(case, grid, ops)
-    lu = sla.lu_factor(m)
-    rhs = np.zeros((2 * n, 2), dtype=complex)
-    rhs[0, 0] = 1.0       # phi1'(1) = 1
-    rhs[n - 1, 1] = 1.0   # phi2'(-1) = 1
-    x = sla.lu_solve(lu, rhs)
-    w1, phi1 = x[:n, 0], x[n:, 0]
-    w2, phi2 = x[:n, 1], x[n:, 1]
+    """Homogeneous pair by one solve of the moment-bordered vorticity matrix.
+
+    With phi(+-1) = 0 the wall moments are
+    <w, e^{+-ky}> = phi'(1) e^{+-k} - phi'(-1) e^{-+k}, so phi1'(1) = 1 and
+    phi2'(-1) = 1 (the other wall derivative zero) are moment right-hand
+    sides; phi comes from the elliptic solve.
+    """
+    ek, emk = math.exp(abs(case.k)), math.exp(-abs(case.k))
+    rhs = np.zeros((grid.n_points, 2), dtype=complex)
+    rhs[[0, -1], 0] = ek, emk        # w1: <w, e^{|k|y}>, <w, e^{-|k|y}>
+    rhs[[0, -1], 1] = -emk, -ek      # w2
+    w = np.linalg.solve(
+        bordered_vorticity_matrix(replace(case, bc="non_slip"), grid, ops), rhs)
+    phi = EllipticSolver(grid, ops, case.k).solve(w)
     zero = Scaled(0j, 0.0)
-    return HomogeneousPair(w1=w1, w2=w2, phi1=phi1, phi2=phi2,
+    return HomogeneousPair(w1=w[:, 0], w2=w[:, 1], phi1=phi[:, 0], phi2=phi[:, 1],
                            C11=zero, C12=zero, C21=zero, C22=zero,
                            A1=zero, A2=zero, B1=zero, B2=zero, method="bvp")
 
@@ -392,7 +413,7 @@ def solve_nonslip(case, forcing, grid, ops, path="auto", elliptic=None,
                   pair=None):
     """Velocity-Dirichlet resolvent solve.
 
-    path 'monolithic': one bordered solve of the coupled (w, phi) system.
+    path 'monolithic': one solve of the moment-bordered vorticity matrix.
     path 'decomposed': vorticity-Dirichlet solve + homogeneous pair with
     coefficients from the sinh-moment formulas.  'auto' prefers the
     decomposed slanted-Airy route when its hypothesis holds.  ``pair`` is
@@ -405,13 +426,7 @@ def solve_nonslip(case, forcing, grid, ops, path="auto", elliptic=None,
         path = "decomposed" if airy_admissible(case) else "monolithic"
 
     if path == "monolithic":
-        n = grid.n_points
-        F = forcing.nodal_rhs(case, grid, ops)
-        m = coupled_system(case, grid, ops)
-        rhs = np.zeros(2 * n, dtype=complex)
-        rhs[1:n - 1] = F[1:n - 1]
-        x = np.linalg.solve(m, rhs)
-        w, phi = x[:n], x[n:]
+        w, phi = _bordered_solve(case, forcing, grid, ops, elliptic)
         return ResolventSolution(case=case, w=w, phi=phi,
                                  u=recover_velocity(phi, case.k, ops),
                                  w_na=None, c1=None, c2=None, path="monolithic")

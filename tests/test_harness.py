@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from couettelab.grid import build_diff_ops, build_grid, default_order, l2_norm
+from couettelab.grid import (build_diff_ops, build_grid, default_order, l2_norm,
+                             wall_moment_rows)
 from couettelab import harness as H
 from couettelab.norms import NormBundle, norms
 from couettelab.resolvent import (ResolventCase, ResolventSolution,
@@ -104,22 +105,12 @@ def test_worst_case_exceeds_fixed_forcing():
     assert sup["l2"] >= l2_norm(g, sol.w) / l2_norm(g, F)
 
 
-@pytest.mark.parametrize("data", ["l2", "pair"])
-def test_worst_case_batched_kernels_match_per_lambda(data, monkeypatch):
-    # the grid pass shares one Airy batch; evaluating each lambda alone
-    # must give the same sup dict, bit for bit
-    batched, _ = H.worst_case_norms(1e-3, 1, "non_slip", data)
-    monkeypatch.setattr(H._WorstCaseSweeper, "kernels_for",
-                        lambda self, lambdas: [None] * len(lambdas))
-    alone, _ = H.worst_case_norms(1e-3, 1, "non_slip", data)
-    assert batched == alone
-
-
 @pytest.mark.parametrize("bc", ["navier_slip", "non_slip"])
 def test_sweeper_operator_matches_bordered_vorticity_matrix(bc, monkeypatch):
     # the sweeper builds its bordered operator once and rewrites the shear
     # diagonal per lambda; every matrix it factors must equal the from-
-    # scratch vorticity_matrix with Dirichlet rows, bit for bit
+    # scratch vorticity_matrix with the walls' rows (w = 0, or the wall
+    # moments at |k|), bit for bit
     factored = []
     lu_factor = H.sla.lu_factor
 
@@ -139,10 +130,31 @@ def test_sweeper_operator_matches_bordered_vorticity_matrix(bc, monkeypatch):
     for lam, a in zip(lams, factored):
         case = ResolventCase(nu=nu, k=k, lam=float(lam), bc=bc)
         ref = vorticity_matrix(case, sweeper.grid, sweeper.ops)
-        for i in (0, n - 1):
-            ref[i, :] = 0.0
-            ref[i, i] = 1.0
+        if bc == "navier_slip":
+            ref[[0, n - 1]] = np.eye(n)[[0, n - 1]]
+        else:
+            ref[[0, n - 1]] = wall_moment_rows(sweeper.grid, abs(k))
         assert np.array_equal(a.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("nu", [1e-3, 1e-4])
+@pytest.mark.parametrize("data", ["l2", "pair"])
+def test_sweeper_maximizer_matches_decomposed_solve(nu, data):
+    # the sweeper's moment-bordered operator against the decomposition
+    # w_na + c1 w1 + c2 w2 with the slanted-Airy pair, on the maximizer
+    sweeper = H._WorstCaseSweeper(nu, 1, "non_slip", data)
+    _, x, ctx = sweeper.response_at(0.3)
+    sol, _ = sweeper.solution_for(x, ctx)
+    g = sweeper.grid
+    if data == "l2":
+        F = np.zeros(g.n_points, dtype=complex)
+        F[1:-1] = x / sweeper.sqw[1:-1]
+        forcing = direct_forcing(F)
+    else:
+        forcing = pair_forcing(f2=x / sweeper.sqw)
+    ref = solve_nonslip(ctx[0], forcing, g, sweeper.ops, path="decomposed")
+    assert ref.path == "decomposed/airy"
+    assert np.linalg.norm(sol.w - ref.w) <= 1e-10 * np.linalg.norm(ref.w)
 
 
 def test_power_iteration_reports_convergence():
@@ -170,8 +182,7 @@ def test_triangular_solves_match_lu_solve(order):
     # scatter; forward and adjoint solves must agree with getrs
     sweeper = H._WorstCaseSweeper(1e-3, 1, "navier_slip", "l2", n_override=order)
     n = sweeper.grid.n_points
-    case, (lu, piv, rows), walls = sweeper._factor(0.37)
-    assert walls is None
+    case, (lu, piv, rows) = sweeper._factor(0.37)
     # ztrsv's f2py wrapper would silently copy a C-ordered factor per call
     assert lu.flags.f_contiguous
     assert not np.array_equal(piv, np.arange(n))   # pivoting did swap rows
@@ -181,31 +192,23 @@ def test_triangular_solves_match_lu_solve(order):
         rhs = np.zeros(n, dtype=complex)
         rhs[1:-1] = f_int
         ref = sla.lu_solve((lu, piv), rhs)
-        got = sweeper._apply_r((lu, piv, rows), None, f_int)
+        got = sweeper._apply_r((lu, piv, rows), f_int)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ref = sla.lu_solve((lu, piv), y, trans=2)[1:-1]
-        got = sweeper._apply_rh((lu, piv, rows), None, y)
+        got = sweeper._apply_rh((lu, piv, rows), y)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def _lu_solve_apply_r(self, lu, walls, f_int):
+def _lu_solve_apply_r(self, lu, f_int):
     """The sweeper's forward solve through scipy's lu_solve (reference)."""
     rhs = np.zeros(self.grid.n_points, dtype=complex)
     rhs[1:-1] = f_int
-    w = sla.lu_solve(lu[:2], rhs)
-    if walls is not None:
-        s1, s2 = self.sinh_rows.real
-        w = w + (s1 @ w) * walls[0] + (s2 @ w) * walls[1]
-    return w
+    return sla.lu_solve(lu[:2], rhs)
 
 
-def _lu_solve_apply_rh(self, lu, walls, y_full):
+def _lu_solve_apply_rh(self, lu, y_full):
     """The sweeper's adjoint solve through scipy's lu_solve (reference)."""
-    if walls is not None:
-        s1, s2 = self.sinh_rows.real
-        y_full = y_full + s1 * np.vdot(walls[0], y_full) \
-            + s2 * np.vdot(walls[1], y_full)
     return sla.lu_solve(lu[:2], y_full, trans=2)[1:-1]
 
 

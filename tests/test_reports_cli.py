@@ -162,6 +162,28 @@ def test_cli_config_error_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("nus, message", [
+    ("2, 1e-2", r"nu k\^2 <= 1, got nu = 2, k = 1"),
+    ("1e-6, 1e-8", r"order 3714 for nu=1e-08, k=1 exceeds the cap"),
+])
+def test_cli_sweep_rejects_out_of_range_nu(tmp_path, monkeypatch, capsys, nus,
+                                           message):
+    # a nu out of range is a config error (exit 2), found before any row runs
+    from couettelab import harness
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a sweep row ran")
+
+    monkeypatch.setattr(harness, "_sweep_row", no_rows)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"[sweep]\nnu = {nus}\n")
+    with pytest.raises(ConfigError, match=message):
+        parse_config(cfg.read_text(), "sweep")
+    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_sweep_records_every_data_kind(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[sweep]\ncheck = nonslip\nnu = 1e-1, 1e-2, 1e-3\n")

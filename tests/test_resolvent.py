@@ -359,6 +359,28 @@ def test_nonslip_paths_agree():
     assert l2_norm(g, sa.w - sc.w) <= 1e-7 * l2_norm(g, sc.w)
 
 
+@pytest.mark.parametrize("k", [2, -2])
+def test_moment_bordered_solves_match_coupled_system(k):
+    # the N x N moment-bordered solves against the 2N x 2N coupled (w, phi)
+    # system, which imposes phi'(+-1) by derivative rows
+    nu, lam = 1e-3, 0.3
+    g, ops = mkgrid(nu, k)
+    n = g.n_points
+    case = R.ResolventCase(nu=nu, k=k, lam=lam, bc="non_slip")
+    F = np.exp(1j * g.nodes)
+    rhs = np.zeros((2 * n, 3), dtype=complex)
+    rhs[1:n - 1, 0] = F[1:n - 1]
+    rhs[0, 1] = 1.0        # phi1'(1) = 1
+    rhs[n - 1, 2] = 1.0    # phi2'(-1) = 1
+    x = np.linalg.solve(R.coupled_system(case, g, ops), rhs)
+    sol = R.solve_nonslip(case, R.direct_forcing(F), g, ops, path="monolithic")
+    pair = R.homogeneous_bvp(case, g, ops)
+    for j, fields in enumerate([(sol.w, sol.phi), (pair.w1, pair.phi1),
+                                (pair.w2, pair.phi2)]):
+        for got, ref in zip(fields, (x[:n, j], x[n:, j])):
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref), j
+
+
 def test_nonslip_solution_invariants():
     nu, k, lam = 1e-4, 1, 0.3
     g, ops = mkgrid(nu, k)
