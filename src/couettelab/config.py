@@ -16,7 +16,7 @@ with the offending line number.
 import math
 from dataclasses import dataclass
 
-from .grid import default_order
+from .grid import N_MAX, default_order
 
 
 class ConfigError(ValueError):
@@ -164,6 +164,25 @@ def parse_config(text, command):
     return out
 
 
+#: Commands whose cases must satisfy nu k^2 <= 1 and fit a grid, by section.
+_CASE_CHECKED = {"sweep": "sweep", "resolvent": "case", "report": "report"}
+
+
+def _check_case(command, nu, k, n):
+    """nu k^2 <= 1, and a grid order within the cap: the given n, or
+    default_order(nu, k) when n is 0."""
+    if nu * k**2 > 1.0:
+        raise ConfigError(f"{command} requires nu k^2 <= 1, got nu = {nu:g}, k = {k}")
+    if n:
+        if not 4 <= n <= N_MAX:
+            raise ConfigError(f"n = {n} must lie in [4, {N_MAX}]")
+        return
+    try:
+        default_order(nu, k)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _validate(command, cfg):
     for sec, keys in cfg.items():
         if "nu" in keys:
@@ -176,14 +195,12 @@ def _validate(command, cfg):
         nus, k = cfg["sweep"]["nu"], cfg["sweep"]["k"]
         if not nus or math.log10(max(nus) / min(nus)) < 2.0 - 1e-9:
             raise ConfigError("exponent fit requires >= 2 decades")
-        # every row's case, checked before the first row runs
+    if command in _CASE_CHECKED:
+        sec = cfg[_CASE_CHECKED[command]]
+        nus = sec["nu"] if isinstance(sec["nu"], tuple) else (sec["nu"],)
+        # every case the command will solve, checked before the first runs
         for nu in nus:
-            if nu * k**2 > 1.0:
-                raise ConfigError(f"sweep requires nu k^2 <= 1, got nu = {nu:g}, k = {k}")
-            try:
-                default_order(nu, k)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            _check_case(command, nu, sec["k"], sec.get("n", 0))
     if command == "threshold":
         lo, hi = cfg["threshold"]["amplitude_lo"], cfg["threshold"]["amplitude_hi"]
         if not lo < hi:

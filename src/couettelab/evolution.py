@@ -16,22 +16,14 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .grid import (border_dirichlet, l2_norm, quadrature, real_apply,
-                   wall_moment_residuals, wall_moment_rows)
-from .resolvent import (EllipticSolver, ResolventCase, recover_velocity,
-                        vorticity_matrix)
+from .grid import (REFLECTION_RESIDUE_MAX, border_dirichlet, frame_apply,
+                   from_real_frame, l2_norm, quadrature, real_apply, real_form,
+                   to_real_frame, wall_moment_residuals, wall_moment_rows)
+from .resolvent import (INFLUENCE_COND_MAX, EllipticSolver, ResolventCase,
+                        recover_velocity, vorticity_matrix)
 from .weights import rho_k
 
 MAX_STEPS = 400_000
-
-#: Largest admissible condition number of the 2x2 influence matrix.
-INFLUENCE_COND_MAX = 1e8
-
-#: Largest admissible relative imaginary part (Frobenius) of Q^H M+ Q; on
-#: Lobatto nodes it is rounding, ~3e-14 at N = 346.
-REFLECTION_RESIDUE_MAX = 1e-12
-
-_SQRT_HALF = math.sqrt(0.5)
 
 
 def dt_accuracy_bound(nu, k):
@@ -56,54 +48,6 @@ class EvolutionCase:
         bound = dt_accuracy_bound(self.nu, self.k)
         if self.dt > bound * (1 + 1e-12):
             raise ValueError(f"dt = {self.dt} exceeds the accuracy rule {bound:.4g}")
-
-
-def to_real_frame(w):
-    """Q^H w along the last axis.
-
-    L = nu(k^2 - d2) + iky on the symmetric Lobatto nodes is centrohermitian,
-    J conj(L) J = L with J the node reversal, and so are the bordered CN
-    matrices built from it.  The sparse unitary Q takes such a matrix to a
-    real one, Q^H M Q (A. Lee, Linear Algebra Appl. 29, 1980).  With a and b
-    the top and bottom halves of w,
-
-        Q^H w = [(a + J b)/sqrt 2, middle node (n odd), -i (a - J b)/sqrt 2].
-    """
-    w = np.asarray(w)
-    n = w.shape[-1]
-    h = n // 2
-    a, jb = w[..., :h], w[..., ::-1][..., :h]
-    z = np.empty(w.shape, dtype=complex)
-    z[..., :h] = _SQRT_HALF * (a + jb)
-    z[..., h:n - h] = w[..., h:n - h]
-    z[..., n - h:] = -1j * _SQRT_HALF * (a - jb)
-    return z
-
-
-def from_real_frame(z):
-    """Q z along the last axis, the inverse of `to_real_frame`."""
-    n = z.shape[-1]
-    h = n // 2
-    p, q = z[..., :h], z[..., n - h:]
-    w = np.empty(z.shape, dtype=complex)
-    w[..., :h] = _SQRT_HALF * (p + 1j * q)
-    w[..., h:n - h] = z[..., h:n - h]
-    w[..., n - h:] = (_SQRT_HALF * (p - 1j * q))[..., ::-1]
-    return w
-
-
-def real_form(m):
-    """Q^H m Q by O(n^2) slicing (complex; real when m is centrohermitian)."""
-    return np.conj(to_real_frame(np.conj(to_real_frame(m.T).T)))
-
-
-def frame_apply(s, w):
-    """Q s Q^H w for a real-frame matrix s: s (n, n) with w (n,), or a stack
-    s (m, n, n) applied row by row to a block w (m, n).  The product runs on
-    the float64 view of Q^H w, one (batched) real matmul."""
-    z = to_real_frame(w)
-    out = np.matmul(s, z.view(np.float64).reshape(z.shape + (2,)))
-    return from_real_frame(out.view(complex)[..., 0])
 
 
 class CrankNicolson:
@@ -156,7 +100,7 @@ class CrankNicolson:
         self._wall_term = (wall_cols, np.eye(n)[walls])
         if bc == "non_slip":
             infl_cols = from_real_frame(
-                (wall_cols @ (_SQRT_HALF * np.array([[1, 1], [-1j, 1j]]))).T).T
+                (wall_cols @ (math.sqrt(0.5) * np.array([[1, 1], [-1j, 1j]]))).T).T
             mom = wall_moment_rows(grid, k)
             infl_mat = real_apply(mom, infl_cols)
             cond = np.linalg.cond(infl_mat)

@@ -1,8 +1,9 @@
 """Chebyshev collocation infrastructure on [-1, 1].
 
 Gauss-Lobatto nodes y_j = cos(j pi / N) (descending, y_0 = 1, y_N = -1),
-Clenshaw-Curtis quadrature weights, and dense differentiation matrices for
-the first and second derivative.
+Clenshaw-Curtis quadrature weights, dense differentiation matrices for
+the first and second derivative, and the real frame of the node
+reflection (`to_real_frame`).
 """
 
 import math
@@ -12,6 +13,13 @@ import numpy as np
 
 #: Hard resolution cap.  Dense factorizations above this order are refused.
 N_MAX = 1024
+
+#: Largest admissible relative imaginary part (Frobenius) of Q^H M+ Q, the
+#: Crank-Nicolson M+ in the real frame of `to_real_frame`; on Lobatto nodes
+#: it is rounding, ~3e-14 at N = 346.
+REFLECTION_RESIDUE_MAX = 1e-12
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def cheb_nodes(n):
@@ -206,3 +214,52 @@ def weighted_l2_norm(grid, values, weight):
 def l1_norm(grid, values):
     """L1 norm by quadrature of |values|."""
     return float(quadrature(grid, np.abs(np.asarray(values))))
+
+
+def to_real_frame(w):
+    """Q^H w along the last axis.
+
+    L = nu(k^2 - d2) + iky on the symmetric Lobatto nodes is centrohermitian,
+    J conj(L) J = L with J the node reversal, and so are the bordered CN
+    matrices and the resolvent's interior operator built from it.  The
+    sparse unitary Q takes such a matrix to a real one, Q^H M Q (A. Lee,
+    Linear Algebra Appl. 29, 1980).  With a and b the top and bottom halves
+    of w,
+
+        Q^H w = [(a + J b)/sqrt 2, middle node (n odd), -i (a - J b)/sqrt 2].
+    """
+    w = np.asarray(w)
+    n = w.shape[-1]
+    h = n // 2
+    a, jb = w[..., :h], w[..., ::-1][..., :h]
+    z = np.empty(w.shape, dtype=complex)
+    z[..., :h] = _SQRT_HALF * (a + jb)
+    z[..., h:n - h] = w[..., h:n - h]
+    z[..., n - h:] = -1j * _SQRT_HALF * (a - jb)
+    return z
+
+
+def from_real_frame(z):
+    """Q z along the last axis, the inverse of `to_real_frame`."""
+    n = z.shape[-1]
+    h = n // 2
+    p, q = z[..., :h], z[..., n - h:]
+    w = np.empty(z.shape, dtype=complex)
+    w[..., :h] = _SQRT_HALF * (p + 1j * q)
+    w[..., h:n - h] = z[..., h:n - h]
+    w[..., n - h:] = (_SQRT_HALF * (p - 1j * q))[..., ::-1]
+    return w
+
+
+def real_form(m):
+    """Q^H m Q by O(n^2) slicing (complex; real when m is centrohermitian)."""
+    return np.conj(to_real_frame(np.conj(to_real_frame(m.T).T)))
+
+
+def frame_apply(s, w):
+    """Q s Q^H w for a real-frame matrix s: s (n, n) with w (n,), or a stack
+    s (m, n, n) applied row by row to a block w (m, n).  The product runs on
+    the float64 view of Q^H w, one (batched) real matmul."""
+    z = to_real_frame(w)
+    out = np.matmul(s, z.view(np.float64).reshape(z.shape + (2,)))
+    return from_real_frame(out.view(complex)[..., 0])

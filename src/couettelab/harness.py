@@ -12,27 +12,28 @@ Fit sweeps use the worst-case forcing: a fixed smooth right-hand side does
 not saturate the resolvent bounds (its response grows far slower than the
 proved powers), so the sharp exponent only appears for the forcing that
 maximizes the response.  That maximizer is the singular vector of the
-discrete solution operator at the smallest singular value, computed by LU
-power iteration in the quadrature-weighted norm.
+discrete solution operator at the smallest singular value, computed by
+power iteration in the quadrature-weighted norm.  A sweep reduces the
+operator once to real Hessenberg form (resolvent.HessenbergResolvent), so
+each lambda costs one O(N^2) banded factor instead of a dense LU;
+verify_c_bounds uses the same reduction.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.blas import ztrsv
 
-from .grid import (grid_for, l1_norm, l2_norm, quadrature, real_apply,
-                   wall_moment_rows)
+from .grid import (from_real_frame, grid_for, l1_norm, l2_norm, quadrature,
+                   real_apply, to_real_frame, wall_moment_rows)
 from .norms import norms
-from .resolvent import (EPSILON_MAX, EllipticSolver, ResolventCase,
-                        ResolventSolution, airy_kernels,
-                        bordered_vorticity_matrix, coefficient_rows,
-                        direct_forcing, homogeneous_airy, pair_forcing,
-                        recover_velocity, solve_nonslip, vorticity_matrix,
-                        write_shear)
+from .resolvent import (EPSILON_MAX, FRAME_RESIDUE_MAX, EllipticSolver,
+                        HessenbergResolvent, ResolventCase, ResolventSolution,
+                        airy_kernels, coefficient_rows, direct_forcing,
+                        homogeneous_airy, pair_forcing, recover_velocity,
+                        solve_nonslip, vorticity_matrix)
 from .weights import cutoff_chi, rho_k
 
 
@@ -89,18 +90,10 @@ def enforce_resolution_rule(nu, k, n):
 
 # -- worst-case solution operators ------------------------------------------
 
-def _pivot_rows(piv):
-    """Where each row of b lands in P b, for the getrf pivots piv (P A = L U).
-
-    LAPACK swaps row i with row piv[i] for i = 0, 1, ...; the composed
-    permutation is inverted so that (P b)[rows[j]] = b[j].
-    """
-    perm = list(range(len(piv)))
-    for i, p in enumerate(piv.tolist()):
-        perm[i], perm[p] = perm[p], perm[i]
-    rows = np.empty(len(perm), dtype=np.intp)
-    rows[perm] = np.arange(len(perm))
-    return rows
+def _start_vector(dim):
+    """The power iteration's seeded complex start vector."""
+    rng = np.random.default_rng(7)
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
 def _power_sigma_max(apply_t, apply_th, dim, x0=None, iters=80, tol=1e-11):
@@ -112,8 +105,7 @@ def _power_sigma_max(apply_t, apply_th, dim, x0=None, iters=80, tol=1e-11):
     sigma and x are then the last iterate's.  The error contracts like
     (sigma_2 / sigma_1)^2 per step.
     """
-    rng = np.random.default_rng(7)
-    x = x0 if x0 is not None else rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x = x0 if x0 is not None else _start_vector(dim)
     x = x / np.linalg.norm(x)
     mu = 0.0
     for it in range(1, iters + 1):
@@ -126,6 +118,21 @@ def _power_sigma_max(apply_t, apply_th, dim, x0=None, iters=80, tol=1e-11):
     return math.sqrt(mu), x, iters, False
 
 
+def _reflect(a):
+    """W a along axis 0 for a real a, in place: the real part of
+    to_real_frame's rows, the reflection sums (a_i + a_{n-1-i})/sqrt 2 on
+    top, the middle row (n odd), the differences (a_i - a_{n-1-i})/sqrt 2
+    below.  Returns a."""
+    n = a.shape[0]
+    h = n // 2
+    top, rev = a[:h].copy(), a[n - h:][::-1].copy()
+    np.add(top, rev, out=a[:h])
+    np.subtract(top, rev, out=a[n - h:])
+    a[:h] *= math.sqrt(0.5)
+    a[n - h:] *= math.sqrt(0.5)
+    return a
+
+
 class _WorstCaseSweeper:
     """Per-(nu, k, bc, data) worst-case response over a lambda search grid.
 
@@ -136,6 +143,19 @@ class _WorstCaseSweeper:
     The lambdas whose power iteration stopped at its cap unconverged are
     kept in ``unconverged``, in visit order.  Both walls are one code path:
     bc only picks the rows bordered_vorticity_matrix puts at y = +-1.
+
+    The operator is reduced once per sweep (resolvent.HessenbergResolvent:
+    S B S^-1 = V (H - ik lam) V^H on the interior, the wall values from an
+    influence matrix), so each lambda costs one banded factor.  The power
+    iteration runs in unitary images of the node-space forcing: L2 data in
+    Hessenberg coordinates V^H (S F), pair data in the reflection frame
+    Q^H f2 (weighted), where F = -d f2/dy becomes V^H S F = i G (Q^H f2)
+    with one real matrix G (interior rows by all nodes), since d/dy is
+    anti-centrosymmetric.  Each step is then two band solves, O(N) wall
+    terms and, for pair data, one real product each way, as many as the
+    node-space iteration had with d/dy.  The start vectors are the node-
+    space ones carried over, so the iterates are those of a node-space
+    iteration up to rounding.
     """
 
     def __init__(self, nu, k, bc, data, n_override=None):
@@ -146,78 +166,79 @@ class _WorstCaseSweeper:
         n = self.grid.n_points
         self.sqw = np.sqrt(self.grid.quad_weights)
         self.inner = slice(1, n - 1)
+        self.walls = [0, n - 1]
         self._warm = None
         self.unconverged = []
-        # the bordered vorticity operator; each lambda rewrites only its
-        # interior imaginary diagonal k(y - lam)
-        self._operator = bordered_vorticity_matrix(
+        red = self.reduced = HessenbergResolvent(
             ResolventCase(nu=nu, k=k, bc=bc), self.grid, self.ops)
+        if data == "l2":
+            self._frame = (red.to_hessenberg, red.from_hessenberg, None)
+            return
+        # divergence-pair data, f1 = 0: F = -d f2/dy, sized by ||f2||_2.
+        # Q^H = Phi W with W the real reflection sum/difference and Phi =
+        # diag(1, -i) on the frame's (even, odd) halves, so for the real
+        # S D = -S d1_in / sqw, Q^H S D Q = Phi (W S D W^T) conj(Phi): i times
+        # the (even, odd) block of R = W S D W^T and -i times its (odd, even)
+        # block; its (even, even) and (odd, odd) blocks vanish but for
+        # rounding, since d/dy is anti-centrosymmetric
+        r = self.ops.d1[self.inner] / self.sqw
+        r *= -red.sq[:, None]
+        _reflect(r)
+        _reflect(r.T)
+        ev, od = slice(0, (n - 1) // 2), slice((n - 1) // 2, n - 2)
+        ev_n, od_n = slice(0, (n + 1) // 2), slice((n + 1) // 2, n)
+        norm = np.linalg.norm
+        residue = (math.hypot(norm(r[ev, ev_n]), norm(r[od, od_n]))
+                   / math.hypot(norm(r[ev, od_n]), norm(r[od, ev_n])))
+        if not residue <= FRAME_RESIDUE_MAX:
+            raise RuntimeError(
+                f"d/dy is not reflection antisymmetric at nu = {nu:g}, k = {k}, "
+                f"N = {n}: relative real residue of its frame form "
+                f"{residue:.3g} > {FRAME_RESIDUE_MAX:g}")
+        # G = Q_h^T times those blocks, written over R
+        r_eo, r_oe = r[ev, od_n].copy(), -r[od, ev_n]
+        np.matmul(red.q_h.T[:, ev], r_eo, out=r[:, od_n])
+        np.matmul(red.q_h.T[:, od], r_oe, out=r[:, ev_n])
+        self._frame = (to_real_frame, from_real_frame, r)
 
-    def _factor(self, lam):
-        """(case, lu) at lam: sla.lu_factor's (lu, piv) pair plus the rows
-        of P b that the interior nodes land in."""
-        case = ResolventCase(nu=self.nu, k=self.k, lam=lam, bc=self.bc)
-        a = write_shear(self._operator.copy(order="F"), case, self.grid)
-        lu, piv = sla.lu_factor(a, overwrite_a=True)
-        return case, (lu, piv, _pivot_rows(piv)[self.inner])
-
-    def _apply_r(self, lu, f_int):
-        """forcing (interior nodal values) -> vorticity (all nodes).
-
-        With P A = L U the forcing is scattered straight into the rows of
-        P b, then one unit-lower and one upper triangular solve (ztrsv: one
-        right-hand side through getrs/ztrsm costs 2-3 times as much).
-        """
-        a, _, rows = lu
-        w = np.zeros(self.grid.n_points, dtype=complex)
-        w[rows] = f_int
-        ztrsv(a, w, lower=1, diag=1, overwrite_x=1)
-        ztrsv(a, w, overwrite_x=1)
+    def _apply_r(self, lam, f_int):
+        """forcing (interior nodal values) -> vorticity (all nodes)."""
+        red = self.reduced
+        w_b, u = red.solve(lam, red.to_hessenberg(red.sq * f_int))
+        w = np.empty(self.grid.n_points, dtype=complex)
+        w[self.inner] = red.from_hessenberg(u) / red.sq
+        w[self.walls] = w_b
         return w
 
-    def _apply_rh(self, lu, y_full):
-        """Adjoint of _apply_r: A^H = U^H L^H P, restricted to the interior."""
-        a, _, rows = lu
-        z = ztrsv(a, y_full, trans=2)
-        ztrsv(a, z, lower=1, diag=1, trans=2, overwrite_x=1)
-        return z[rows]
-
     def response_at(self, lam):
-        """Top singular pair of the solution operator at lam."""
-        case, lu = self._factor(lam)
-        sq_in = self.sqw[self.inner]
-        n = self.grid.n_points
+        """Top singular pair of the solution operator at lam: (sigma, x,
+        (case,)), x the maximizing forcing's weighted node values."""
+        case = ResolventCase(nu=self.nu, k=self.k, lam=lam, bc=self.bc)
+        red = self.reduced
+        to_frame, from_frame, g = self._frame
+        sq_b = self.sqw[self.walls]
 
-        if self.data == "l2":
-            def t(x):
-                return self.sqw * self._apply_r(lu, x / sq_in)
+        def t(x):
+            w_b, u = red.solve(lam, x if g is None else 1j * real_apply(g, x))
+            return np.concatenate([sq_b * w_b, u])
 
-            def th(y):
-                return self._apply_rh(lu, self.sqw * y) / sq_in
+        def th(v):
+            z = red.solve_adjoint(lam, sq_b * v[:2], v[2:])
+            return z if g is None else -1j * real_apply(g.T, z)
 
-            dim = n - 2
-        else:  # divergence-pair data, f1 = 0: F = -d f2/dy, size ||f2||_2
-            d1_in = self.ops.d1[self.inner]
-
-            def t(x):
-                f_int = -real_apply(d1_in, x / self.sqw)
-                return self.sqw * self._apply_r(lu, f_int)
-
-            def th(y):
-                z = self._apply_rh(lu, self.sqw * y)
-                return -real_apply(d1_in.T, z) / self.sqw
-
-            dim = n
-
-        sigma, x, _, converged = _power_sigma_max(t, th, dim, x0=self._warm)
+        x0 = self._warm
+        if x0 is None:
+            n = self.grid.n_points
+            x0 = to_frame(_start_vector(n - 2 if g is None else n))
+        sigma, x, _, converged = _power_sigma_max(t, th, len(x0), x0=x0)
         self._warm = x
         if not converged:
             self.unconverged.append(lam)
-        return sigma, x, (case, lu)
+        return sigma, from_frame(x), (case,)
 
     def solution_for(self, x, ctx):
         """Assemble the maximizer's solution and its forcing norm."""
-        case, lu = ctx
+        case = ctx[0]
         if self.data == "l2":
             f_int = x / self.sqw[self.inner]
             fnorm = math.sqrt(abs(np.sum(
@@ -226,7 +247,7 @@ class _WorstCaseSweeper:
             f2 = x / self.sqw
             fnorm = l2_norm(self.grid, f2)
             f_int = -real_apply(self.ops.d1, f2)[self.inner]
-        w = self._apply_r(lu, f_int)
+        w = self._apply_r(case.lam, f_int)
         phi = self.elliptic.solve(w)
         sol = ResolventSolution(case=case, w=w, phi=phi,
                                 u=recover_velocity(phi, case.k, self.ops))
@@ -247,8 +268,12 @@ class _WorstCaseSweeper:
             evals.append((float(lam), sigma))
             return sigma
 
-        vals = [visit(lam) for lam in lambdas]
-        j = int(np.argmax(vals))
+        vals = np.array([visit(lam) for lam in lambdas])
+        # the peaks at lam and -lam tie to rounding: of the grid values
+        # within 1e-12 of the maximum take the largest lam, so the side
+        # refined does not hang on the last bits
+        near = np.flatnonzero(vals >= (1.0 - 1e-12) * vals.max())
+        j = int(near[np.argmax(np.asarray(lambdas)[near])])
         lo = lambdas[max(j - 1, 0)]
         hi = lambdas[min(j + 1, len(lambdas) - 1)]
         # golden refinement of the primary (weighted L2) response
@@ -407,21 +432,23 @@ def verify_c_bounds(nu, k, lambdas=None, forcing_key="exp_ipiy", n_override=None
     fnorm = l2_norm(g, fvals)
     out = {"c1_l2": 0.0, "c2_l2": 0.0, "c1_hm1": 0.0, "c2_hm1": 0.0}
     # c1 and c2 are sinh moments of the vorticity-Dirichlet solution alone
-    # (resolvent.coefficients), so no homogeneous pair is built; both
-    # forcings share one factorization of that operator per lambda, and one
-    # product with the sinh rows gives [[c1, p1], [c2, p2]]
+    # (resolvent.coefficients), so no homogeneous pair is built.  One
+    # reduction of that operator serves every lambda: both forcings and the
+    # sinh rows (on the interior; the walls carry w = 0) are taken to
+    # Hessenberg coordinates once, then each lambda is one banded factor,
+    # one two-column solve and one product giving [[c1, p1], [c2, p2]]
     case = ResolventCase(nu=nu, k=k, bc="navier_slip")
     rhs = np.column_stack([f.nodal_rhs(case, g, ops) for f in
                            (direct_forcing(fvals), pair_forcing(f2=fvals))])
-    rhs[[0, -1]] = 0.0
-    operator = bordered_vorticity_matrix(case, g, ops)
-    rows = coefficient_rows(g, k)
+    reduced = HessenbergResolvent(case, g, ops)
+    inner = slice(1, g.n_points - 1)
+    rhs_h = reduced.to_hessenberg(reduced.sq[:, None] * rhs[inner])
+    rows = coefficient_rows(g, k)[:, inner] / reduced.sq
+    rows_h = np.conj(reduced.to_hessenberg(np.conj(rows.T))).T
     scale_l2 = nu ** (-1 / 6) * abs(k) ** (-5 / 6) * fnorm
     scale_hm1 = nu ** (-0.5) * abs(k) ** (-0.5) * fnorm
     for lam in lambdas:
-        a = write_shear(operator.copy(order="F"), replace(case, lam=float(lam)), g)
-        w = sla.lu_solve(sla.lu_factor(a, overwrite_a=True), rhs)
-        (c1, p1), (c2, p2) = rows @ w
+        (c1, p1), (c2, p2) = rows_h @ reduced.solve(float(lam), rhs_h)[1]
         w1, w2 = 1 + abs(k * (lam - 1)), 1 + abs(k * (lam + 1))
         out["c1_l2"] = max(out["c1_l2"], w1 * abs(c1) / scale_l2)
         out["c2_l2"] = max(out["c2_l2"], w2 * abs(c2) / scale_l2)

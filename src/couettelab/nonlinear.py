@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .evolution import CrankNicolson, dt_accuracy_bound, frame_apply
-from .grid import border_dirichlet, l2_norm, quadrature, real_apply
+from .evolution import CrankNicolson, dt_accuracy_bound
+from .grid import (border_dirichlet, frame_apply, l2_norm, quadrature,
+                   real_apply)
 from .resolvent import recover_velocity
 
 BLOWUP_GUARD = 1e8

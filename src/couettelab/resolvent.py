@@ -8,7 +8,8 @@ Two boundary settings: vorticity Dirichlet w(+-1) = 0 ("navier_slip") and
 velocity Dirichlet phi(+-1) = phi'(+-1) = 0 ("non_slip"), phi the stream
 function with (d^2/dy^2 - k^2) phi = w.  Given phi(+-1) = 0, phi'(+-1) = 0
 is the same as zero wall moments <w, e^{+-ky}> (Quartapelle and Valz-Gris),
-so one N x N bordered matrix serves both walls.
+so one N x N bordered matrix serves both walls.  HessenbergResolvent
+reduces it once for solves at many lam.
 
 The non-slip problem is solved two ways: that monolithic solve and the
 decomposition w = w_na + c1 w1 + c2 w2 whose homogeneous pieces come
@@ -28,14 +29,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .airy import airy_scaled
-from .grid import border_dirichlet, real_apply, wall_moment_rows
+from .grid import (border_dirichlet, from_real_frame, real_apply,
+                   to_real_frame, wall_moment_rows)
 from .scaled import Scaled, scaled_quadrature
 
 #: Largest admissible contour shift; the harness verifies C * EPSILON_MAX <= 1/2
 #: against the recorded vorticity-Dirichlet resolvent constant.
 EPSILON_MAX = 0.02
+
+#: Largest admissible relative imaginary part (Frobenius) of the real form
+#: of HessenbergResolvent's interior operator.  What it measures is the
+#: reflection asymmetry that d2 = d1 d1 picks up from rounding: 2e-16 to
+#: 2e-14 at most orders, up to 3.7e-12 at a few (284, 334, 373, 420, 819,
+#: 840 of the orders 64..1024 scanned, k = 1).
+FRAME_RESIDUE_MAX = 1e-10
+
+#: Largest admissible condition number of a 2 x 2 wall influence matrix
+#: (HessenbergResolvent, and the Crank-Nicolson stepper under velocity
+#: Dirichlet walls).
+INFLUENCE_COND_MAX = 1e8
 
 #: Wavenumber above which the slanted-Airy representation is trusted even when
 #: the wall layer is not much thinner than 1/(6k) (working hypothesis).
@@ -183,13 +198,15 @@ def recover_velocity(phi, k, ops):
 def vorticity_matrix(case, grid, ops):
     """Unbordered operator -nu(d2 - k^2) + ik(y - lam) - shift.
 
-    Real and imaginary parts are written in place: no complex N x N
-    temporary, and the imaginary diagonal is the one write_shear writes.
+    Real and imaginary parts are written in place: no N x N temporary;
+    the imaginary part is the diagonal k(y - lam).
     """
     n = grid.n_points
     a = np.zeros((n, n), dtype=complex)
-    a.real = -case.nu * (ops.d2 - case.k**2 * np.eye(n))
+    a.real = ops.d2
     diag = np.diag_indices(n)
+    a.real[diag] -= case.k**2
+    a.real *= -case.nu
     a.real[diag] -= case.shift
     a.imag[diag] = case.k * (grid.nodes - case.lam)
     return a
@@ -201,23 +218,187 @@ def bordered_vorticity_matrix(case, grid, ops):
     values a right-hand side sets; real and at |k|, so the matrix at -k is
     the conjugate of the one at k.
 
-    Fortran-ordered, so lu_factor(..., overwrite_a=True) factors it in
-    place.  Only its interior imaginary diagonal k(y - lam) depends on lam;
-    write_shear rewrites it for another lam.
+    Only its interior imaginary diagonal k(y - lam) depends on lam;
+    HessenbergResolvent reduces the matrix once for solves at any lam.
     """
-    a = np.asfortranarray(vorticity_matrix(case, grid, ops))
+    a = vorticity_matrix(case, grid, ops)
     if case.bc == "navier_slip":
         return border_dirichlet(a)
     a[[0, -1]] = wall_moment_rows(grid, abs(case.k))
     return a
 
 
-def write_shear(a, case, grid):
-    """Set the interior imaginary diagonal of a bordered vorticity matrix to
-    the case's k(y - lam), in place; returns a."""
-    inner = np.arange(1, grid.n_points - 1)
-    a.imag[inner, inner] = case.k * (grid.nodes[inner] - case.lam)
-    return a
+class HessenbergResolvent:
+    """Solves with bordered_vorticity_matrix(case) at zero wall data, at any
+    lam, from one real Hessenberg reduction.
+
+    Split w into its interior values w_i and its wall values w_b.  The
+    interior rows read B(lam) w_i + A_ib w_b = f_i with B(lam) = A_ii - ik lam,
+    A_ii the interior block at lam = 0, of size m = N - 2.  In the sqrt-
+    weight coordinates u = S w_i (S the interior sqrt quadrature weights)
+    S A_ii S^-1 is centrohermitian, so M_r = Q^H S A_ii S^-1 Q is real (Q of
+    `grid.to_real_frame`).  It is built in real arithmetic: the
+    centrosymmetric real part becomes the diagonal blocks X11 +- X12 J, the
+    shear diagonal k y becomes -+k y on the cross diagonals.  One real
+    `sla.hessenberg` gives M_r = Q_h H Q_h^T, so with V = Q Q_h unitary
+
+        S B(lam) S^-1 = V (H - ik lam) V^H,
+
+    and lam enters only on the diagonal of H.  Per lam, H - ik lam is
+    factored by zgbtrf with one subdiagonal, O(m^2), into one reused
+    complex band buffer; a solve is one zgbtrs.
+
+    The wall rows R w = 0 are w_b = 0 under navier_slip.  Under non_slip
+    they are the moment rows, and the influence-matrix method gives
+    w_b = -C^-1 R_i B^-1 f_i, w_i = B^-1 f_i + Z w_b, with Z = -B^-1 A_ib
+    the interior response to unit wall values and C = R_b + R_i Z; per lam
+    that adds one two-column solve and the 2 x 2 matrix C.  Slaving w_b to
+    w_i instead and reducing A_ii + A_ib s0 puts a rank-2 term ~500 times
+    the size of A_ii into the reduction (at N = 373), and its solves lose
+    two digits against a dense LU of the bordered matrix; these agree with
+    it within 6e-13 up to N = 801.
+
+    Kept: the real band of H, the real Q_h, the band buffer, and O(m)
+    wall terms.  Those terms use einsum and closed 2 x 2 forms: numpy's
+    complex BLAS and SVD kernels would each add their code pages to the
+    resident set, for no speed at two rows.
+    """
+
+    def __init__(self, case, grid, ops):
+        n = grid.n_points
+        m, h = n - 2, (n - 2) // 2
+        inner, walls = slice(1, n - 1), [0, n - 1]
+        self.nu, self.k = case.nu, case.k
+        self.sq = np.sqrt(grid.quad_weights[inner])
+        a = bordered_vorticity_matrix(replace(case, lam=0.0), grid, ops)
+        border, wall_cols = a.real[walls], a.real[inner, walls]
+        shear = a.imag[inner, inner].diagonal().copy()
+        # X = S A_ii S^-1 in place in a's real part: no N x N copy is made
+        x = a.real[inner, inner]
+        x *= self.sq[:, None]
+        x /= self.sq[None, :]
+        # relative imaginary part (Frobenius) of the complex real form
+        # Q^H (X + i diag(shear)) Q, from the parts that break the reflection
+        anti, sym = (np.linalg.norm(shear + shear[::-1]) ** 2,
+                     np.linalg.norm(shear - shear[::-1]) ** 2)
+        for rows in (slice(0, h), slice(h, m)):
+            anti += np.linalg.norm(x[rows] - x[::-1, ::-1][rows]) ** 2
+            sym += np.linalg.norm(x[rows] + x[::-1, ::-1][rows]) ** 2
+        residue = math.sqrt(anti / sym)
+        self.reflection_residue = residue
+        if not residue <= FRAME_RESIDUE_MAX:
+            raise RuntimeError(
+                f"interior operator is not reflection symmetric at nu = "
+                f"{case.nu:g}, k = {case.k}, N = {n}: relative imaginary "
+                f"residue of its real form {residue:.3g} > "
+                f"{FRAME_RESIDUE_MAX:g}")
+        # Re Q^H X Q: X11 + X12 J (even) and X11 - X12 J (odd), each from
+        # the reflection average of X, which is what Q^H X Q keeps
+        top, bot = slice(0, h), slice(m - h, m)
+        x11 = 0.5 * (x[top, top] + x[bot, bot][::-1, ::-1])
+        x12j = 0.5 * (x[top, bot][:, ::-1] + x[bot, top][::-1])
+        mr = np.zeros((m, m), order="F")      # reduced in place, no copy
+        mr[top, top] = x11 + x12j
+        mr[bot, bot] = x11 - x12j
+        if m % 2:
+            mr[top, h] = math.sqrt(0.5) * (x[top, h] + x[bot, h][::-1])
+            mr[h, top] = math.sqrt(0.5) * (x[h, top] + x[h, bot][::-1])
+            mr[h, h] = x[h, h]
+        # Q^H (i diag(shear)) Q: -+ the odd part of the shear on the cross
+        # diagonals
+        odd = 0.5 * (shear[top] - shear[bot][::-1])
+        cross = np.arange(h)
+        mr[cross, cross + m - h] = -odd
+        mr[cross + m - h, cross] = odd
+        del a, x, x11, x12j
+        # LAPACK band storage with kl = 1, ku = m - 1: H[i, j] in row
+        # m + i - j of column j; row 0 is zgbtrf's fill-in row
+        self._band = np.zeros((m + 2, m), order="F")
+        hess, self.q_h = sla.hessenberg(mr, calc_q=True, overwrite_a=True)
+        del mr
+        for j in range(m):
+            rows = min(j + 2, m)
+            self._band[m - j:m - j + rows, j] = hess[:rows, j]
+        del hess
+        self._lu = None                 # allocated by the first factor
+        self._piv = None
+        self._lam = None
+        # moment walls: V^H S A_ib, R_i S^-1 V and R_b; per lam `_factor`
+        # keeps Z (in Hessenberg coordinates) and the gain -C^-1 R_i S^-1 V
+        self._moments = None
+        if border[:, inner].any():
+            self._moments = (
+                self.to_hessenberg(self.sq[:, None] * wall_cols),
+                np.conj(self.to_hessenberg(border[:, inner].T / self.sq[:, None])).T,
+                border[:, walls])
+        self._influence = None
+
+    def _factor(self, lam):
+        m = self._band.shape[1]
+        if self._lu is None:
+            self._lu = np.empty((m + 2, m), dtype=complex, order="F")
+        np.copyto(self._lu, self._band)
+        self._lu.imag[m] = -self.k * lam          # the diagonal's row
+        self._lam = None
+        _, self._piv, info = zgbtrf(self._lu, 1, m - 1, overwrite_ab=1)
+        if info != 0:
+            raise RuntimeError(
+                f"banded factor of H - ik lam is singular (zgbtrf info = "
+                f"{info}) at lam = {lam!r}, nu = {self.nu:g}, k = {self.k}")
+        self._lam = lam
+        if self._moments is not None:
+            a_h, r_h, r_b = self._moments
+            z = -self._shifted(a_h)
+            c = r_b + np.einsum("ij,jk->ik", r_h, z)
+            # 2 x 2 in closed form: s1^2 + s2^2 = ||c||_F^2, s1 s2 = |det c|
+            det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
+            fro2 = float(np.sum(np.abs(c) ** 2))
+            s1_sq = 0.5 * (fro2 + math.sqrt(max(fro2**2 - 4 * abs(det) ** 2, 0.0)))
+            cond = s1_sq / abs(det) if det != 0 else math.inf
+            if not cond <= INFLUENCE_COND_MAX:
+                self._lam = None
+                raise RuntimeError(
+                    f"ill-conditioned wall influence matrix at lam = {lam!r}, "
+                    f"nu = {self.nu:g}, k = {self.k}: cond = {cond:.3g} > "
+                    f"{INFLUENCE_COND_MAX:g}")
+            adj = np.array([[c[1, 1], -c[0, 1]], [-c[1, 0], c[0, 0]]])
+            self._influence = (z, np.einsum("ij,jk->ik", -adj / det, r_h))
+
+    def _shifted(self, b, trans=0):
+        m = self._lu.shape[1]
+        return zgbtrs(self._lu, 1, m - 1, b, self._piv, trans=trans)[0]
+
+    def solve(self, lam, b):
+        """(w_b, u): the wall values and the interior Hessenberg coordinates
+        u = V^H S w_i of the solution for the interior forcing f_i with
+        b = V^H S f_i; b is (m,) or (m, r)."""
+        if lam != self._lam:
+            self._factor(lam)
+        y = self._shifted(b)
+        if self._moments is None:
+            return np.zeros((2,) + y.shape[1:], dtype=complex), y
+        z, gain = self._influence
+        w_b = np.einsum("ij,j...->i...", gain, y)
+        return w_b, y + np.einsum("ij,j...->i...", z, w_b)
+
+    def solve_adjoint(self, lam, a, v):
+        """Adjoint of `solve`: wall values a (2,) and interior coordinates
+        v (m,) to forcing coordinates."""
+        if lam != self._lam:
+            self._factor(lam)
+        if self._moments is not None:
+            z, gain = self._influence
+            a = a + np.einsum("ji,j->i", z.conj(), v)
+            v = v + np.einsum("ji,j->i", gain.conj(), a)
+        return self._shifted(v, trans=2)
+
+    def to_hessenberg(self, u):
+        """V^H u for interior sqrt-weight values u, (m,) or (m, r)."""
+        return real_apply(self.q_h.T, to_real_frame(u.T).T)
+
+    def from_hessenberg(self, y):
+        """V y, the inverse of `to_hessenberg`."""
+        return from_real_frame(real_apply(self.q_h, y).T).T
 
 
 def _bordered_solve(case, forcing, grid, ops, elliptic):
@@ -388,13 +569,13 @@ def coupled_system(case, grid, ops):
     return m
 
 
-def homogeneous_bvp(case, grid, ops):
+def homogeneous_bvp(case, grid, ops, elliptic=None):
     """Homogeneous pair by one solve of the moment-bordered vorticity matrix.
 
     With phi(+-1) = 0 the wall moments are
     <w, e^{+-ky}> = phi'(1) e^{+-k} - phi'(-1) e^{-+k}, so phi1'(1) = 1 and
     phi2'(-1) = 1 (the other wall derivative zero) are moment right-hand
-    sides; phi comes from the elliptic solve.
+    sides; phi comes from the elliptic solve, the caller's when given.
     """
     ek, emk = math.exp(abs(case.k)), math.exp(-abs(case.k))
     rhs = np.zeros((grid.n_points, 2), dtype=complex)
@@ -402,7 +583,9 @@ def homogeneous_bvp(case, grid, ops):
     rhs[[0, -1], 1] = -emk, -ek      # w2
     w = np.linalg.solve(
         bordered_vorticity_matrix(replace(case, bc="non_slip"), grid, ops), rhs)
-    phi = EllipticSolver(grid, ops, case.k).solve(w)
+    if elliptic is None:
+        elliptic = EllipticSolver(grid, ops, case.k)
+    phi = elliptic.solve(w)
     zero = Scaled(0j, 0.0)
     return HomogeneousPair(w1=w[:, 0], w2=w[:, 1], phi1=phi[:, 0], phi2=phi[:, 1],
                            C11=zero, C12=zero, C21=zero, C22=zero,
@@ -441,7 +624,7 @@ def solve_nonslip(case, forcing, grid, ops, path="auto", elliptic=None,
         if path == "decomposed" and airy_admissible(case):
             pair = homogeneous_airy(case, grid, ops, elliptic=elliptic)
         else:
-            pair = homogeneous_bvp(case, grid, ops)
+            pair = homogeneous_bvp(case, grid, ops, elliptic=elliptic)
     c1, c2 = coefficients(na.w, case.k, grid)
     w = na.w + c1 * pair.w1 + c2 * pair.w2
     phi = na.phi + c1 * pair.phi1 + c2 * pair.phi2

@@ -5,13 +5,15 @@ import pytest
 import scipy.linalg as sla
 
 from couettelab.grid import (build_diff_ops, build_grid, default_order, l2_norm,
-                             wall_moment_rows)
+                             real_form)
 from couettelab import harness as H
+from couettelab import resolvent as R
 from couettelab.norms import NormBundle, norms
-from couettelab.resolvent import (ResolventCase, ResolventSolution,
+from couettelab.resolvent import (HessenbergResolvent, ResolventCase,
+                                  ResolventSolution, bordered_vorticity_matrix,
                                   direct_forcing, pair_forcing,
                                   recover_velocity, solve_navier, solve_nonslip,
-                                  vorticity_matrix, EllipticSolver)
+                                  EllipticSolver)
 
 
 def mkgrid(nu, k):
@@ -106,35 +108,69 @@ def test_worst_case_exceeds_fixed_forcing():
 
 
 @pytest.mark.parametrize("bc", ["navier_slip", "non_slip"])
-def test_sweeper_operator_matches_bordered_vorticity_matrix(bc, monkeypatch):
-    # the sweeper builds its bordered operator once and rewrites the shear
-    # diagonal per lambda; every matrix it factors must equal the from-
-    # scratch vorticity_matrix with the walls' rows (w = 0, or the wall
-    # moments at |k|), bit for bit
-    factored = []
-    lu_factor = H.sla.lu_factor
+def test_sweeper_operator_matches_bordered_vorticity_matrix(bc):
+    # the sweeper's forward and adjoint solves (one Hessenberg reduction,
+    # a banded factor per lambda) against dense solves of the from-scratch
+    # bordered vorticity matrix with zero wall rows, and of its conjugate
+    # transpose; orders 80 and 81 give an odd and an even interior
+    nu = 2e-3
+    rng = np.random.default_rng(5)
+    for order in (80, 81):
+        for k in (1, 2, -2):
+            sweeper = H._WorstCaseSweeper(nu, k, bc, "l2", n_override=order)
+            n = sweeper.grid.n_points
+            for lam in (-1.37, 0.0, 0.37, 0.9):
+                a = bordered_vorticity_matrix(
+                    ResolventCase(nu=nu, k=k, lam=lam, bc=bc),
+                    sweeper.grid, sweeper.ops)
+                f_int = rng.standard_normal(n - 2) + 1j * rng.standard_normal(n - 2)
+                rhs = np.zeros(n, dtype=complex)
+                rhs[1:-1] = f_int
+                ref = np.linalg.solve(a, rhs)
+                got = sweeper._apply_r(lam, f_int)
+                assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref), \
+                    (order, k, lam)
+                y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                ref = np.linalg.solve(a.conj().T, y)[1:-1]
+                red = sweeper.reduced
+                got = red.sq * red.from_hessenberg(red.solve_adjoint(
+                    lam, y[[0, -1]], red.to_hessenberg(y[1:-1] / red.sq)))
+                assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref), \
+                    (order, k, lam)
 
-    def spy(a, *args, **kwargs):
-        factored.append(np.ascontiguousarray(a))
-        return lu_factor(a, *args, **kwargs)
 
-    nu, k = 1e-3, 1
-    sweeper = H._WorstCaseSweeper(nu, k, bc, "l2")
-    monkeypatch.setattr(H.sla, "lu_factor", spy)
-    grid_lams = np.linspace(-1.5, 1.5, 41)
-    lams = [grid_lams[3], 0.123456, grid_lams[20], -1.37, grid_lams[40], 0.9]
-    for lam in lams:
-        sweeper._factor(float(lam))
-    assert len(factored) == len(lams)
-    n = sweeper.grid.n_points
-    for lam, a in zip(lams, factored):
-        case = ResolventCase(nu=nu, k=k, lam=float(lam), bc=bc)
-        ref = vorticity_matrix(case, sweeper.grid, sweeper.ops)
-        if bc == "navier_slip":
-            ref[[0, n - 1]] = np.eye(n)[[0, n - 1]]
-        else:
-            ref[[0, n - 1]] = wall_moment_rows(sweeper.grid, abs(k))
-        assert np.array_equal(a.view(np.uint64), ref.view(np.uint64))
+def _band_to_dense(band):
+    """Dense upper Hessenberg H from LAPACK band storage with kl = 1."""
+    m = band.shape[1]
+    h = np.zeros((m, m))
+    for j in range(m):
+        rows = min(j + 2, m)
+        h[:rows, j] = band[m - j:m - j + rows, j]
+    return h
+
+
+@pytest.mark.parametrize("order", [80, 81])
+def test_hessenberg_reduction_reproduces_real_form(order):
+    # Q_h H Q_h^T against the real form Q^H S A_ii S^-1 Q of the interior
+    # block, built densely by grid.real_form; both walls share it
+    nu, k = 1e-3, 2 if order == 80 else -1
+    g = build_grid(order)
+    ops = build_diff_ops(g)
+    reds = [HessenbergResolvent(ResolventCase(nu=nu, k=k, bc=bc), g, ops)
+            for bc in ("navier_slip", "non_slip")]
+    assert np.array_equal(reds[0]._band, reds[1]._band)
+    assert np.array_equal(reds[0].q_h, reds[1].q_h)
+    red = reds[0]
+    a = bordered_vorticity_matrix(ResolventCase(nu=nu, k=k), g, ops)
+    sq = np.sqrt(g.quad_weights[1:-1])
+    m_r = real_form(a[1:-1, 1:-1] * (sq[:, None] / sq[None, :]))
+    assert np.linalg.norm(m_r.imag) <= 1e-13 * np.linalg.norm(m_r.real)
+    assert red.reflection_residue <= 1e-13
+    h = _band_to_dense(red._band)
+    assert np.array_equal(h, np.triu(h, -1))
+    q_h = red.q_h
+    assert np.abs(q_h.T @ q_h - np.eye(g.n_points - 2)).max() <= 1e-13
+    assert np.linalg.norm(q_h @ h @ q_h.T - m_r.real) <= 1e-13 * np.linalg.norm(m_r.real)
 
 
 @pytest.mark.parametrize("nu", [1e-3, 1e-4])
@@ -176,54 +212,60 @@ def test_power_iteration_reports_convergence():
     assert abs(sigma - 1.0) <= 1e-10
 
 
-@pytest.mark.parametrize("order", [80, 81])
-def test_triangular_solves_match_lu_solve(order):
-    # the sweeper applies its LU factors by two ztrsv calls after a row
-    # scatter; forward and adjoint solves must agree with getrs
-    sweeper = H._WorstCaseSweeper(1e-3, 1, "navier_slip", "l2", n_override=order)
-    n = sweeper.grid.n_points
-    case, (lu, piv, rows) = sweeper._factor(0.37)
-    # ztrsv's f2py wrapper would silently copy a C-ordered factor per call
-    assert lu.flags.f_contiguous
-    assert not np.array_equal(piv, np.arange(n))   # pivoting did swap rows
-    rng = np.random.default_rng(order)
-    for _ in range(3):
-        f_int = rng.standard_normal(n - 2) + 1j * rng.standard_normal(n - 2)
-        rhs = np.zeros(n, dtype=complex)
+class _DenseLUSweeper(H._WorstCaseSweeper):
+    """The sweep with one dense LU of bordered_vorticity_matrix per lambda
+    and the power iteration on node values (reference)."""
+
+    def _factor(self, lam):
+        if getattr(self, "_held", (None,))[0] != lam:
+            a = bordered_vorticity_matrix(
+                ResolventCase(nu=self.nu, k=self.k, lam=lam, bc=self.bc),
+                self.grid, self.ops)
+            self._held = (lam, sla.lu_factor(a))
+        return self._held[1]
+
+    def _apply_r(self, lam, f_int):
+        rhs = np.zeros(self.grid.n_points, dtype=complex)
         rhs[1:-1] = f_int
-        ref = sla.lu_solve((lu, piv), rhs)
-        got = sweeper._apply_r((lu, piv, rows), f_int)
-        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ref = sla.lu_solve((lu, piv), y, trans=2)[1:-1]
-        got = sweeper._apply_rh((lu, piv, rows), y)
-        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        return sla.lu_solve(self._factor(lam), rhs)
 
+    def _apply_rh(self, lam, y_full):
+        return sla.lu_solve(self._factor(lam), y_full, trans=2)[1:-1]
 
-def _lu_solve_apply_r(self, lu, f_int):
-    """The sweeper's forward solve through scipy's lu_solve (reference)."""
-    rhs = np.zeros(self.grid.n_points, dtype=complex)
-    rhs[1:-1] = f_int
-    return sla.lu_solve(lu[:2], rhs)
+    def response_at(self, lam):
+        sqw, sq_in = self.sqw, self.sqw[1:-1]
+        if self.data == "l2":
+            def t(x):
+                return sqw * self._apply_r(lam, x / sq_in)
 
+            def th(y):
+                return self._apply_rh(lam, sqw * y) / sq_in
+        else:
+            d1_in = self.ops.d1[1:-1]
 
-def _lu_solve_apply_rh(self, lu, y_full):
-    """The sweeper's adjoint solve through scipy's lu_solve (reference)."""
-    return sla.lu_solve(lu[:2], y_full, trans=2)[1:-1]
+            def t(x):
+                return sqw * self._apply_r(lam, -d1_in @ (x / sqw))
+
+            def th(y):
+                return -d1_in.T @ self._apply_rh(lam, sqw * y) / sqw
+        dim = self.grid.n_points - 2 * (self.data == "l2")
+        sigma, x, _, converged = H._power_sigma_max(t, th, dim, x0=self._warm)
+        self._warm = x
+        if not converged:
+            self.unconverged.append(lam)
+        return sigma, x, (ResolventCase(nu=self.nu, k=self.k, lam=lam, bc=self.bc),)
 
 
 @pytest.mark.parametrize("bc", ["navier_slip", "non_slip"])
 @pytest.mark.parametrize("data", ["l2", "pair"])
-def test_sweep_matches_lu_solve_reference(bc, data, monkeypatch):
-    def run():
-        sweeper = H._WorstCaseSweeper(1e-3, 1, bc, data)
+def test_sweep_matches_lu_solve_reference(bc, data):
+    def run(cls):
+        sweeper = cls(1e-3, 1, bc, data)
         sup, evals = sweeper.sweep()
         return sup, evals, sweeper.unconverged
 
-    sup, evals, unconverged = run()
-    monkeypatch.setattr(H._WorstCaseSweeper, "_apply_r", _lu_solve_apply_r)
-    monkeypatch.setattr(H._WorstCaseSweeper, "_apply_rh", _lu_solve_apply_rh)
-    ref_sup, ref_evals, ref_unconverged = run()
+    sup, evals, unconverged = run(H._WorstCaseSweeper)
+    ref_sup, ref_evals, ref_unconverged = run(_DenseLUSweeper)
     assert sup.keys() == ref_sup.keys()
     for key, val in ref_sup.items():
         assert abs(sup[key] - val) <= 1e-12 * abs(val), key
@@ -231,6 +273,116 @@ def test_sweep_matches_lu_solve_reference(bc, data, monkeypatch):
     for (_, sigma), (_, ref) in zip(evals, ref_evals):
         assert abs(sigma - ref) <= 1e-12 * ref
     assert unconverged == ref_unconverged
+
+
+def test_sweep_negative_k_matches_positive_k():
+    # the operator at -k is the conjugate of the one at k, so the sweep
+    # visits the same lambdas and finds the same suprema; the two
+    # Hessenberg reductions differ in rounding only, which may move a power
+    # iteration's stop by one step: sigma^2 is converged to 1e-11
+    out = {}
+    for k in (2, -2):
+        sweeper = H._WorstCaseSweeper(1e-3, k, "non_slip", "pair")
+        out[k] = sweeper.sweep() + (sweeper.unconverged,)
+    (sup, evals, unconverged), (ref_sup, ref_evals, ref_unconverged) = out[-2], out[2]
+    assert sup.keys() == ref_sup.keys()
+    for key, val in ref_sup.items():
+        assert abs(sup[key] - val) <= 1e-12 * abs(val), key
+    assert [lam for lam, _ in evals] == [lam for lam, _ in ref_evals]
+    for (_, sigma), (_, ref) in zip(evals, ref_evals):
+        assert abs(sigma - ref) <= 1e-11 * ref
+    assert unconverged == ref_unconverged
+
+
+def test_sweep_refines_positive_side_on_mirror_tie(monkeypatch):
+    # sigma(lam) = sigma(-lam): the symmetric grid has two peaks equal to
+    # rounding; a 1e-14 boost of the lam < 0 one must not move the
+    # refinement off the lam > 0 side
+    response_at = H._WorstCaseSweeper.response_at
+
+    def boosted(self, lam):
+        sigma, x, ctx = response_at(self, lam)
+        return sigma * (1 + 1e-14) if lam < 0 else sigma, x, ctx
+
+    lambdas = np.linspace(-1.5, 1.5, 41)
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(H._WorstCaseSweeper, "response_at", boosted)
+        sweeper = H._WorstCaseSweeper(1e-3, 1, "navier_slip", "l2")
+        _, evals = sweeper.sweep(lambdas=lambdas)
+        grid_sigma = np.array([sigma for _, sigma in evals[:41]])
+        peak = int(np.argmax(grid_sigma))
+        assert abs(lambdas[peak] + lambdas[40 - peak]) < 1e-15
+        assert grid_sigma[40 - peak] >= (1 - 1e-13) * grid_sigma[peak]
+        if patch:
+            assert lambdas[peak] < 0          # np.argmax alone would go left
+        assert all(lam > 0 for lam, _ in evals[41:])
+
+
+def test_sweep_and_c_bounds_factor_no_dense_lu_per_lambda(monkeypatch):
+    # one Hessenberg reduction per sweeper or c-bounds call and one banded
+    # factor per lambda; no dense factorization or solve once the reduction
+    # is built
+    calls = {"lu_factor": [], "dense_solve": [], "hessenberg": [], "zgbtrf": []}
+
+    def spy(name, fn):
+        def wrapped(a, *args, **kwargs):
+            calls[name].append(np.shape(a)[0])
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    def counts():
+        out = {name: sizes[:] for name, sizes in calls.items()}
+        for sizes in calls.values():
+            sizes.clear()
+        return out
+
+    monkeypatch.setattr(H.sla, "lu_factor", spy("lu_factor", H.sla.lu_factor))
+    monkeypatch.setattr(np.linalg, "solve", spy("dense_solve", np.linalg.solve))
+    monkeypatch.setattr(R.sla, "hessenberg", spy("hessenberg", R.sla.hessenberg))
+    monkeypatch.setattr(R, "zgbtrf", spy("zgbtrf", R.zgbtrf))
+    for bc in ("navier_slip", "non_slip"):
+        sweeper = H._WorstCaseSweeper(1e-3, 1, bc, "pair")
+        n = sweeper.grid.n_points
+        # EllipticSolver's LU and the reduction
+        assert counts() == {"lu_factor": [n], "dense_solve": [],
+                            "hessenberg": [n - 2], "zgbtrf": []}
+        _, evals = sweeper.sweep()
+        got = counts()
+        assert got["lu_factor"] == got["dense_solve"] == got["hessenberg"] == []
+        assert len(got["zgbtrf"]) == len(evals) == 57
+    lambdas = np.linspace(-2, 2, 9)
+    _, order = H.verify_c_bounds(1e-3, 1, lambdas=lambdas)
+    assert counts() == {"lu_factor": [], "dense_solve": [], "hessenberg": [order - 1],
+                        "zgbtrf": [order + 1] * len(lambdas)}
+
+
+def test_reduction_guards_name_their_quantity(monkeypatch):
+    g = build_grid(80)
+    ops = build_diff_ops(g)
+    case = ResolventCase(nu=1e-3, k=2, bc="non_slip")
+    bordered = R.bordered_vorticity_matrix
+
+    def lopsided(case, grid, ops):
+        a = bordered(case, grid, ops)
+        a[1, 2] *= 1 + 1e-6            # breaks the node reflection
+        return a
+
+    monkeypatch.setattr(R, "bordered_vorticity_matrix", lopsided)
+    with pytest.raises(RuntimeError, match=r"reflection symmetric at nu = 0.001, "
+                                           r"k = 2, N = 81: .*residue"):
+        HessenbergResolvent(case, g, ops)
+    monkeypatch.setattr(R, "bordered_vorticity_matrix", bordered)
+    red = HessenbergResolvent(case, g, ops)
+    monkeypatch.setattr(R, "zgbtrf", lambda ab, kl, ku, overwrite_ab: (ab, None, 7))
+    with pytest.raises(RuntimeError, match=r"singular \(zgbtrf info = 7\) at "
+                                           r"lam = 0.25, nu = 0.001, k = 2"):
+        red.solve(0.25, np.ones(g.n_points - 2, dtype=complex))
+    monkeypatch.undo()
+    monkeypatch.setattr(R, "INFLUENCE_COND_MAX", 1.0)
+    with pytest.raises(RuntimeError, match=r"influence matrix at lam = 0.25, "
+                                           r"nu = 0.001, k = 2: cond = "):
+        red.solve(0.25, np.ones(g.n_points - 2, dtype=complex))
 
 
 def test_sweep_rows_report_power_unconverged(monkeypatch):

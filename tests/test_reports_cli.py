@@ -184,6 +184,33 @@ def test_cli_sweep_rejects_out_of_range_nu(tmp_path, monkeypatch, capsys, nus,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text", [
+    ("resolvent", "[case]\nnu = 1e-8\n"),
+    ("report", "[report]\nnu = 1e-2, 1e-8\n"),
+], ids=["resolvent", "report"])
+def test_cli_case_commands_reject_out_of_range_nu(tmp_path, monkeypatch, capsys,
+                                                  command, text):
+    # the order cap is a config error (exit 2), found before any case is solved
+    from couettelab import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a case was solved")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    message = "order 3714 for nu=1e-08, k=1 exceeds the cap 1024"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text, command)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=r"requires nu k\^2 <= 1, got nu = 0.5, k = 2"):
+        parse_config(text.replace("1e-8", "0.5") + "k = 2\n", command)
+    with pytest.raises(ConfigError, match=r"n = 2000 must lie in \[4, 1024\]"):
+        parse_config("[case]\nn = 2000\n", "resolvent")
+
+
 def test_cli_sweep_records_every_data_kind(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[sweep]\ncheck = nonslip\nnu = 1e-1, 1e-2, 1e-3\n")

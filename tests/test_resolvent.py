@@ -381,6 +381,30 @@ def test_moment_bordered_solves_match_coupled_system(k):
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref), j
 
 
+def test_decomposed_bvp_builds_one_elliptic_solver(monkeypatch):
+    # homogeneous_bvp takes the caller's elliptic solver: one d2 - k^2
+    # inverse per solve, and the same numbers as a pair with its own
+    nu, k = 1e-3, 2
+    g, ops = mkgrid(nu, k)
+    case = R.ResolventCase(nu=nu, k=k, lam=0.3, bc="non_slip")
+    forcing = R.direct_forcing(np.exp(1j * g.nodes))
+    ref = R.solve_nonslip(case, forcing, g, ops, path="decomposed_bvp",
+                          pair=R.homogeneous_bvp(case, g, ops))
+    built = []
+    init = R.EllipticSolver.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(R.EllipticSolver, "__init__", spy)
+    sol = R.solve_nonslip(case, forcing, g, ops, path="decomposed_bvp")
+    assert len(built) == 1
+    assert sol.path == "decomposed/bvp"
+    for got, want in ((sol.w, ref.w), (sol.phi, ref.phi)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_nonslip_solution_invariants():
     nu, k, lam = 1e-4, 1, 0.3
     g, ops = mkgrid(nu, k)
