@@ -164,8 +164,12 @@ def parse_config(text, command):
     return out
 
 
-#: Commands whose cases must satisfy nu k^2 <= 1 and fit a grid, by section.
-_CASE_CHECKED = {"sweep": "sweep", "resolvent": "case", "report": "report"}
+#: Commands whose cases must satisfy nu k^2 <= 1 and fit a grid: the section
+#: and the key of the wavenumber their grids are built at.
+_CASE_CHECKED = {"sweep": ("sweep", "k"), "resolvent": ("case", "k"),
+                 "report": ("report", "k"), "homog": ("case", "k"),
+                 "spectrum": ("case", "k"), "evolve": ("case", "k"),
+                 "threshold": ("threshold", "k_max")}
 
 
 def _check_case(command, nu, k, n):
@@ -196,11 +200,12 @@ def _validate(command, cfg):
         if not nus or math.log10(max(nus) / min(nus)) < 2.0 - 1e-9:
             raise ConfigError("exponent fit requires >= 2 decades")
     if command in _CASE_CHECKED:
-        sec = cfg[_CASE_CHECKED[command]]
+        name, k_key = _CASE_CHECKED[command]
+        sec = cfg[name]
         nus = sec["nu"] if isinstance(sec["nu"], tuple) else (sec["nu"],)
         # every case the command will solve, checked before the first runs
         for nu in nus:
-            _check_case(command, nu, sec["k"], sec.get("n", 0))
+            _check_case(command, nu, sec[k_key], sec.get("n", 0))
     if command == "threshold":
         lo, hi = cfg["threshold"]["amplitude_lo"], cfg["threshold"]["amplitude_hi"]
         if not lo < hi:

@@ -16,11 +16,11 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .grid import (REFLECTION_RESIDUE_MAX, border_dirichlet, frame_apply,
-                   from_real_frame, l2_norm, quadrature, real_apply, real_form,
-                   to_real_frame, wall_moment_residuals, wall_moment_rows)
-from .resolvent import (INFLUENCE_COND_MAX, EllipticSolver, ResolventCase,
-                        recover_velocity, vorticity_matrix)
+from .grid import (border_dirichlet, frame_apply, from_real_frame, l2_norm,
+                   quadrature, real_apply, real_form, to_real_frame,
+                   wall_moment_residuals, wall_moment_rows)
+from .resolvent import (FRAME_RESIDUE_MAX, INFLUENCE_COND_MAX, EllipticSolver,
+                        ResolventCase, recover_velocity, vorticity_matrix)
 from .weights import rho_k
 
 MAX_STEPS = 400_000
@@ -67,9 +67,9 @@ class CrankNicolson:
 
     so a step is one real d2 product, one diagonal, O(N) frame transforms
     and one real mat-vec on the float64 view; no LU and no complex N x N
-    matrix is kept.  An unforced step with zero targets is w' = Q P Q^H w
-    with the real P = S M- in the frame, built on first use
-    (`step_matrix`); `advance` applies P^j.
+    matrix is kept.  An unforced step with zero targets is z' = P z on the
+    frame vector z = Q^H w, with the real P = S M- built on first use
+    (`step_matrix`); `apply_steps` applies P^j without leaving the frame.
     """
 
     def __init__(self, nu, k, bc, dt, grid, ops):
@@ -83,11 +83,11 @@ class CrankNicolson:
         m_plus = real_form(border_dirichlet(m_plus))
         residue = np.linalg.norm(m_plus.imag) / np.linalg.norm(m_plus.real)
         self.reflection_residue = float(residue)
-        if not residue <= REFLECTION_RESIDUE_MAX:
+        if not residue <= FRAME_RESIDUE_MAX:
             raise RuntimeError(
                 f"M+ is not reflection symmetric at k = {k}, nu = {nu:g}, N = {n}: "
                 f"relative imaginary residue of its real form {residue:.3g} > "
-                f"{REFLECTION_RESIDUE_MAX:g}")
+                f"{FRAME_RESIDUE_MAX:g}")
         prop = sla.inv(m_plus.real)
         # frame coordinates of the wall nodes; Q^H [e_0, e_{n-1}] is
         # [[1, 1], [-i, i]] / sqrt 2 on them
@@ -134,25 +134,27 @@ class CrankNicolson:
         p += left @ right
         return p
 
-    def advance(self, w, j, stride):
-        """P^j w: j unforced steps with zero moment targets.
+    def apply_steps(self, z, j, stride, out):
+        """out <- P^j z: j unforced steps with zero moment targets, on frame
+        vectors (z = Q^H w) multiplied on their float64 views; returns out.
 
-        A full stride (j == stride) is one product with P^stride, computed by
-        `matrix_power` on first use and kept; any other j applies P j times.
-        Both run in the real frame, between one transform in and one out.
+        A full stride (j == stride > 1) is one product with P^stride,
+        computed by `matrix_power` on first use and kept; any other j
+        applies P j times.  z and out must not overlap.
         """
-        if not np.isfinite(w).all():
-            raise ValueError(f"non-finite vorticity in the CN advance at k = {self.k}")
-        z = to_real_frame(w)
+        n = z.shape[0]
+        x, y = z.view(np.float64).reshape(n, 2), out.view(np.float64).reshape(n, 2)
         if j == stride and stride > 1:
             if self._stride_power is None or self._stride_power[0] != stride:
                 self._stride_power = (
                     stride, np.linalg.matrix_power(self.step_matrix, stride))
-            return from_real_frame(real_apply(self._stride_power[1], z))
+            np.matmul(self._stride_power[1], x, out=y)
+            return out
         p = self.step_matrix
-        for _ in range(j):
-            z = real_apply(p, z)
-        return from_real_frame(z)
+        for _ in range(j - 1):
+            x = p @ x
+        np.matmul(p, x, out=y)
+        return out
 
     def apply_m_minus(self, w):
         """M- w: the diagonal part plus the shared real d2 product."""
@@ -208,10 +210,16 @@ def space_time_ratio(ledger, nu, k):
 class _Accumulator:
     """Space-time ledger of one run, from samples taken in time order.
 
-    `take` copies a sample into an (N, BLOCK) buffer; a full buffer, or a
-    read of `led`, flushes it: one elliptic solve and one velocity recovery
+    Samples are kept in the real frame of `grid.to_real_frame`, as rows
+    z = Q^H w of a (BLOCK, N) buffer: `take` copies z into the next row, or,
+    given none, records the row `slot()` into which the caller already
+    wrote the sample (an unforced run multiplies straight into it).  A full
+    buffer, or a read of `led`, flushes it: one `from_real_frame` back to
+    nodes, a finiteness check, one elliptic solve and one velocity recovery
     on the block, the weighted quadratures as one small product, then the
-    running maxima and trapezoid sums extended by the block's samples.
+    running maxima and trapezoid sums extended by the block's samples.  A
+    flush leaves the rows as they are, so the last sample's row stays valid
+    until BLOCK samples later.
     """
 
     BLOCK = 64
@@ -226,7 +234,7 @@ class _Accumulator:
         self._led = SpaceTimeLedger()
         self._led.data_l2 = l2_norm(grid, case.omega0)
         self._led.data_dy_l2 = l2_norm(grid, real_apply(ops.d1, case.omega0))
-        self._buf = np.empty((grid.n_points, self.BLOCK), dtype=complex)
+        self._buf = np.empty((self.BLOCK, grid.n_points), dtype=complex)
         self._meta = []             # (t, f1norm2, f2norm2) of the buffered samples
         self._prev = None           # (t, per-sample integrands) of the last flushed sample
         self._sq = np.zeros(5)      # squared L2-in-time norms: u, w, rho w, f1, f2
@@ -236,8 +244,15 @@ class _Accumulator:
         self._flush()
         return self._led
 
-    def take(self, t, w, f1norm2=0.0, f2norm2=0.0):
-        self._buf[:, len(self._meta)] = w
+    def slot(self):
+        """The buffer row the next sample goes to."""
+        return self._buf[len(self._meta)]
+
+    def take(self, t, z=None, f1norm2=0.0, f2norm2=0.0):
+        """Record the sample at time t: z = Q^H w, or, when z is None, the
+        sample already written into `slot()`."""
+        if z is not None:
+            self._buf[len(self._meta)] = z
         self._meta.append((t, f1norm2, f2norm2))
         if len(self._meta) == self.BLOCK:
             self._flush()
@@ -247,7 +262,10 @@ class _Accumulator:
         if m == 0:
             return
         g, led = self.grid, self._led
-        w = self._buf[:, :m]
+        w = np.ascontiguousarray(from_real_frame(self._buf[:m]).T)
+        if not np.isfinite(w).all():
+            raise ValueError(
+                f"non-finite vorticity in the CN advance at k = {self.case.k}")
         phi = self.stepper.elliptic.solve(w)
         u1, u2 = recover_velocity(phi, self.case.k, self.ops)
         umod2 = np.abs(u1) ** 2 + np.abs(u2) ** 2
@@ -291,23 +309,33 @@ def _rhs_of(case, grid, ops, t):
 
 def run(case, grid, ops, store_every=1, auto_extend=True):
     """Integrate to t_end (extended for unforced runs until the vorticity has
-    decayed by 1e4) and return the space-time ledger.
+    decayed by 1e4) and return the space-time ledger and the final state.
 
     Samples are taken every store_every steps and at every step from t_end
-    on.  A forced run steps one dt at a time; an unforced run moves from
-    sample to sample with one `CrankNicolson.advance`.
+    on.  A forced run steps one dt at a time in node space.  An unforced run
+    stays in the real frame from the first sample to the last: each sample
+    is `CrankNicolson.apply_steps` on the previous one, written straight
+    into the ledger's buffer, and its norm for the stop test is taken there
+    with the quadrature weights mirrored onto the odd half.
     """
     if case.bc == "non_slip" and case.check_moments:
         viol = wall_moment_residuals(grid, case.omega0, case.k).max()
         if not viol <= 1e-8:
             raise ValueError(f"initial data violates the wall moments: {viol:.2e}")
+    w = np.asarray(case.omega0, dtype=complex).copy()
+    if not np.isfinite(w).all():
+        raise ValueError(f"non-finite vorticity in the CN advance at k = {case.k}")
     stepper = CrankNicolson(case.nu, case.k, case.bc, case.dt, grid, ops)
     acc = _Accumulator(case, grid, ops, stepper)
-    w = np.asarray(case.omega0, dtype=complex).copy()
     w0_l2 = l2_norm(grid, w)
     forced = case.forcing is not None
     rhs_prev, n1, n2 = _rhs_of(case, grid, ops, 0.0)
-    acc.take(0.0, w, n1, n2)
+    z = acc.slot()                  # the row the first sample goes to
+    acc.take(0.0, to_real_frame(w), n1, n2)
+    # ||w||^2 = sum q |w|^2 over the frame: the pair (i, n-1-i) maps to the
+    # rows i and n-h+i, with q_i = q_{n-1-i}
+    h = grid.n_points // 2
+    q_frame = np.concatenate([grid.quad_weights[:-h], grid.quad_weights[:h]])
     t = 0.0
     steps = 0
     while True:
@@ -323,19 +351,20 @@ def run(case, grid, ops, store_every=1, auto_extend=True):
             sample = steps % store_every == 0 or t >= case.t_end
             if sample or steps >= MAX_STEPS:
                 break
-        if not forced:
-            w = stepper.advance(w, j, store_every)
-        if sample:
-            acc.take(t, w, n1, n2)
+        if sample and forced:
+            acc.take(t, to_real_frame(w), n1, n2)
+        elif sample:
+            z = stepper.apply_steps(z, j, store_every, out=acc.slot())
+            acc.take(t)
         if t >= case.t_end:
             done = True
             if auto_extend and not forced:
-                done = l2_norm(grid, w) <= 1e-4 * w0_l2
+                done = math.sqrt(abs(np.abs(z) ** 2 @ q_frame)) <= 1e-4 * w0_l2
             if done:
                 break
         if steps >= MAX_STEPS:
             raise RuntimeError("run exceeded MAX_STEPS before reaching t_end")
-    return acc.led, w
+    return acc.led, (w if forced else from_real_frame(z))
 
 
 def decay_rate(samples, nu, k, efolds=2.0):
@@ -397,7 +426,7 @@ def homogeneous_splitting(case, grid, ops, store_every=1):
     w3 = np.zeros_like(w0)
     w1 = part1(0.0)
     for a, wv in ((acc1, w1), (acc2, w2), (acc3, w3), (accd, w_d)):
-        a.take(0.0, wv)
+        a.take(0.0, to_real_frame(wv))
     t = 0.0
     nsteps = int(round(case.t_end / dt))
     add_err = 0.0
@@ -417,7 +446,7 @@ def homogeneous_splitting(case, grid, ops, store_every=1):
         t = t_next
         if (j + 1) % store_every == 0 or j == nsteps - 1:
             for a, wv in ((acc1, w1), (acc2, w2), (acc3, w3), (accd, w_d)):
-                a.take(t, wv)
+                a.take(t, to_real_frame(wv))
             ref = max(ref, l2_norm(grid, w_d))
             add_err = max(add_err, l2_norm(grid, w1 + w2 + w3 - w_d))
     return (dict(part1=acc1.led, part2=acc2.led, part3=acc3.led, direct=accd.led),

@@ -14,11 +14,6 @@ import numpy as np
 #: Hard resolution cap.  Dense factorizations above this order are refused.
 N_MAX = 1024
 
-#: Largest admissible relative imaginary part (Frobenius) of Q^H M+ Q, the
-#: Crank-Nicolson M+ in the real frame of `to_real_frame`; on Lobatto nodes
-#: it is rounding, ~3e-14 at N = 346.
-REFLECTION_RESIDUE_MAX = 1e-12
-
 _SQRT_HALF = math.sqrt(0.5)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grid import (from_real_frame, grid_for, l1_norm, l2_norm, quadrature,
-                   real_apply, to_real_frame, wall_moment_rows)
+                   real_apply, real_form, to_real_frame, wall_moment_rows)
 from .norms import norms
 from .resolvent import (EPSILON_MAX, FRAME_RESIDUE_MAX, EllipticSolver,
                         HessenbergResolvent, ResolventCase, ResolventSolution,
@@ -495,7 +495,11 @@ def verify_w12_bounds(nu_values, k_values, lambdas, n_override=None):
 class SpectralGapReport:
     """Spectrum of the restricted generator.
 
-    psi is the gap functional when it was asked for, NaN otherwise.
+    generator is `restricted_generator`'s real matrix in the frame of the
+    node reflection, unitarily equivalent to the weighted restriction, so
+    its eigenvalues and the singular values of generator - i lam are those
+    of the physical generator.  psi is the gap functional when it was asked
+    for, NaN otherwise.
     pseudo_abscissa is the same functional, computed on first read (54 SVDs
     of the generator) unless psi already holds it.
     """
@@ -540,21 +544,46 @@ def _generator_and_moments(nu, k, bc, grid, ops):
 
 
 def restricted_generator(nu, k, bc, grid, ops):
-    """Generator in sqrt-weight coordinates, on its physical subspace.
+    """Generator in sqrt-weight coordinates, on its physical subspace, as a
+    real matrix in the frame of the node reflection.
 
-    The slaved velocity-Dirichlet generator conserves the two wall moments,
-    so it carries a two-dimensional neutral complement; the physics lives on
-    the invariant moment-zero subspace, onto which the matrix is deflated
-    here.  The returned matrix is similar to the restriction, and singular
-    values of (A - i lam) in it realize the weighted-L2 geometry.
+    The sqrt-weighted interior generator S a S^-1 is centrohermitian, so its
+    real form Q^H S a S^-1 Q (`grid.real_form`) is real up to rounding,
+    which is checked against FRAME_RESIDUE_MAX.  The slaved velocity-
+    Dirichlet generator conserves the two wall moments, so it carries a
+    two-dimensional neutral complement; the physics lives on the invariant
+    moment-zero subspace.  That subspace is closed under w -> J conj(w), so
+    in the frame it has a real orthonormal basis B: the null space of the
+    real and imaginary parts of the frame moment rows, stacked (rank 2, not
+    4).  The returned B^T (Q^H S a S^-1 Q) B is unitarily equivalent to the
+    restriction, and singular values of (A - i lam) in it realize the
+    weighted-L2 geometry.
     """
     a, mom = _generator_and_moments(nu, k, bc, grid, ops)
     sqw = np.sqrt(grid.quad_weights[1:-1])
-    ax = a * (sqw[:, None] / sqw[None, :])
+    ax = real_form(a * (sqw[:, None] / sqw[None, :]))
+    n = grid.n_points
+    residue = np.linalg.norm(ax.imag) / np.linalg.norm(ax.real)
+    if not residue <= FRAME_RESIDUE_MAX:
+        raise RuntimeError(
+            f"generator is not reflection symmetric at k = {k}, nu = {nu:g}, "
+            f"N = {n}: relative imaginary residue of its real form "
+            f"{residue:.3g} > {FRAME_RESIDUE_MAX:g}")
+    ax = np.ascontiguousarray(ax.real)
     if mom is None:
         return ax
-    qbasis = sla.null_space(mom / sqw[None, :])
-    return qbasis.conj().T @ ax @ qbasis
+    rows = np.conj(to_real_frame(np.conj(mom / sqw[None, :])))
+    rows = np.vstack([rows.real, rows.imag])
+    basis = sla.null_space(rows, rcond=FRAME_RESIDUE_MAX)
+    if basis.shape[1] != n - 4:
+        s = sla.svdvals(rows)
+        raise RuntimeError(
+            f"moment-zero subspace is not reflection symmetric at k = {k}, "
+            f"nu = {nu:g}, N = {n}: its frame moment rows have rank "
+            f"{n - 2 - basis.shape[1]}, not 2 (second and third singular values "
+            f"relative to the first {s[1] / s[0]:.3g}, {s[2] / s[0]:.3g}; "
+            f"bound {FRAME_RESIDUE_MAX:g})")
+    return basis.T @ ax @ basis
 
 
 def psi_functional(ax, scan_scale, scan=None, refine=3):

@@ -40,9 +40,11 @@ from .scaled import Scaled, scaled_quadrature
 #: against the recorded vorticity-Dirichlet resolvent constant.
 EPSILON_MAX = 0.02
 
-#: Largest admissible relative imaginary part (Frobenius) of the real form
-#: of HessenbergResolvent's interior operator.  What it measures is the
-#: reflection asymmetry that d2 = d1 d1 picks up from rounding: 2e-16 to
+#: Largest admissible relative residue (Frobenius) of a real form in the
+#: frame of `grid.to_real_frame`: the imaginary part of HessenbergResolvent's
+#: interior operator, of the Crank-Nicolson M+ and of the spectral
+#: generator, and the real part of the sweeper's d/dy.  What it measures is
+#: the reflection asymmetry that d2 = d1 d1 picks up from rounding: 2e-16 to
 #: 2e-14 at most orders, up to 3.7e-12 at a few (284, 334, 373, 420, 819,
 #: 840 of the orders 64..1024 scanned, k = 1).
 FRAME_RESIDUE_MAX = 1e-10

@@ -8,7 +8,7 @@ from couettelab.grid import (build_diff_ops, build_grid, default_order, l2_norm,
                              wall_moment_residuals)
 from couettelab import evolution as E
 from couettelab.harness import spectrum
-from couettelab.resolvent import ResolventCase
+from couettelab.resolvent import FRAME_RESIDUE_MAX, ResolventCase
 from couettelab.weights import rho_k
 
 
@@ -155,7 +155,8 @@ def test_real_form_matches_dense_complex_construction(bc, order):
 
     assert rel(q @ stepper.propagator @ q.conj().T, s_ref) <= 1e-12
     assert rel(q @ stepper.step_matrix @ q.conj().T, p_ref) <= 1e-12
-    stepper.advance(moment_free_data(g, ops, k), 5, 5)
+    z = E.to_real_frame(moment_free_data(g, ops, k))
+    stepper.apply_steps(z, 5, 5, out=np.empty_like(z))
     assert rel(q @ stepper._stride_power[1] @ q.conj().T,
                np.linalg.matrix_power(p_ref, 5)) <= 1e-12
     if bc == "non_slip":
@@ -192,10 +193,31 @@ def test_advance_matches_steps(bc):
     ref = [w]
     for _ in range(5):
         ref.append(stepper.step(ref[-1]))
+    z0 = E.to_real_frame(w)
     # full strides by a kept power (switching strides), partial ones step by step
     for j, stride in ((3, 3), (2, 2), (3, 3), (2, 3), (5, 1), (1, 1)):
-        out = stepper.advance(w, j, stride)
+        out = E.from_real_frame(stepper.apply_steps(z0, j, stride, np.empty_like(z0)))
         assert np.linalg.norm(out - ref[j]) <= 1e-12 * np.linalg.norm(ref[j]), (j, stride)
+    # the frame loop of an unforced run: samples chained in the frame
+    z = z0
+    for j, stride in ((2, 2), (2, 2), (1, 2)):
+        z = stepper.apply_steps(z, j, stride, np.empty_like(z))
+    out = E.from_real_frame(z)
+    assert np.linalg.norm(out - ref[5]) <= 1e-12 * np.linalg.norm(ref[5])
+
+
+@pytest.mark.parametrize("bc", ["navier_slip", "non_slip"])
+def test_frame_forms_build_at_order_373(bc):
+    # d2 = d1 d1 rounds asymmetrically at order 373: the real form of M+ has
+    # an imaginary residue above 1e-12, still far below FRAME_RESIDUE_MAX
+    nu, k = 1e-5, 1
+    g = build_grid(373)
+    ops = build_diff_ops(g)
+    stepper = E.CrankNicolson(nu, k, bc, E.dt_accuracy_bound(nu, k), g, ops)
+    assert 1e-12 < stepper.reflection_residue <= FRAME_RESIDUE_MAX
+    rep = spectrum(ResolventCase(nu=nu, k=k, bc=bc), g, ops, want_psi=False)
+    assert rep.generator.shape[0] == g.n_points - (4 if bc == "non_slip" else 2)
+    assert rep.gap > 0.0
 
 
 def test_navier_energy_dissipation_per_step():
@@ -456,6 +478,33 @@ def test_nan_initial_vorticity_raises(bc, check_moments, match):
                            check_moments=check_moments)
     with pytest.raises(ValueError, match=match):
         E.run(case, g, ops, store_every=2)
+
+
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_nan_mid_run_raises_at_the_block_flush(monkeypatch, store_every):
+    # a NaN row of P turns the samples non-finite from the first product on;
+    # the auto-extend stop test never passes on them, so only the flush of
+    # the ledger's block can stop the run
+    g, ops = mkgrid(1e-3, 1)
+    build = E.CrankNicolson.step_matrix.func
+
+    def poisoned(self):
+        p = build(self)
+        p[g.n_points // 3] = np.nan
+        return p
+
+    monkeypatch.setattr(E.CrankNicolson, "step_matrix", property(poisoned))
+    monkeypatch.setattr(E, "MAX_STEPS", 20_000)
+    takes = []
+    take = E._Accumulator.take
+    monkeypatch.setattr(E._Accumulator, "take",
+                        lambda self, t, *a: takes.append(t) or take(self, t, *a))
+    case = E.EvolutionCase(nu=1e-3, k=1, omega0=moment_free_data(g, ops, 1),
+                           dt=0.05, t_end=1.0, bc="non_slip")
+    with pytest.raises(ValueError, match="non-finite vorticity in the CN advance "
+                                         "at k = 1"):
+        E.run(case, g, ops, store_every=store_every)
+    assert len(takes) == E._Accumulator.BLOCK
 
 
 def test_unforced_auto_extend_run_stops_at_max_steps(monkeypatch):

@@ -424,6 +424,70 @@ def test_spectrum_k_zero_rejected():
         ResolventCase(nu=1e-3, k=0, bc="navier_slip")
 
 
+def complex_deflated_generator(nu, k, bc, g, ops):
+    """Reference generator: the sqrt-weighted interior generator in node
+    space, deflated (velocity Dirichlet) by a complex orthonormal basis of
+    the moment-zero subspace."""
+    a, mom = H._generator_and_moments(nu, k, bc, g, ops)
+    sqw = np.sqrt(g.quad_weights[1:-1])
+    ax = a * (sqw[:, None] / sqw[None, :])
+    if mom is None:
+        return ax
+    basis = sla.null_space(mom / sqw[None, :])
+    return basis.conj().T @ ax @ basis
+
+
+@pytest.mark.parametrize("order", [80, 81])          # odd and even n_points
+@pytest.mark.parametrize("bc", ["navier_slip", "non_slip"])
+def test_real_frame_generator_matches_complex_deflation(bc, order):
+    nu, k = 1e-3, 1
+    g = build_grid(order)
+    ops = build_diff_ops(g)
+    ax = H.restricted_generator(nu, k, bc, g, ops)
+    ref = complex_deflated_generator(nu, k, bc, g, ops)
+    assert ax.dtype == np.float64 and ax.shape == ref.shape
+    assert ax.shape[0] == g.n_points - (4 if bc == "non_slip" else 2)
+    rep = H.spectrum(ResolventCase(nu=nu, k=k, bc=bc), g, ops, want_psi=True)
+    assert rep.generator is not None and rep.generator.dtype == np.float64
+    gap_ref = float(np.min(np.linalg.eigvals(ref).real))
+    assert abs(rep.gap - gap_ref) <= 1e-11 * gap_ref
+    psi_ref = H.psi_functional(ref, float(k))[0]
+    assert abs(rep.psi - psi_ref) <= 1e-12 * psi_ref
+    eye = np.eye(ax.shape[0])
+    for lam in (-0.6, 0.05, 0.9):
+        s = sla.svdvals(ax - 1j * lam * eye)
+        s_ref = sla.svdvals(ref - 1j * lam * eye)
+        assert np.abs(s - s_ref).max() <= 1e-12 * s_ref[0], lam
+
+
+def test_generator_guards_name_their_quantity(monkeypatch):
+    nu, k = 1e-3, 1
+    g, ops = mkgrid(nu, k)
+    build = H._generator_and_moments
+
+    def lopsided(nu, k, bc, grid, ops):
+        a, mom = build(nu, k, bc, grid, ops)
+        a[1, 2] *= 1 + 1e-6            # breaks the node reflection
+        return a, mom
+
+    monkeypatch.setattr(H, "_generator_and_moments", lopsided)
+    for bc in ("navier_slip", "non_slip"):
+        with pytest.raises(RuntimeError, match=r"generator is not reflection symmetric "
+                           rf"at k = 1, nu = 0.001, N = {g.n_points}: relative "
+                           r"imaginary residue"):
+            H.restricted_generator(nu, k, bc, g, ops)
+
+    def tilted_moments(nu, k, bc, grid, ops):
+        a, mom = build(nu, k, bc, grid, ops)
+        return a, mom * (1 + 1e-3 * grid.nodes[1:-1])   # not closed under J conj
+
+    monkeypatch.setattr(H, "_generator_and_moments", tilted_moments)
+    with pytest.raises(RuntimeError, match=r"moment-zero subspace is not reflection "
+                       rf"symmetric at k = 1, nu = 0.001, N = {g.n_points}: its "
+                       r"frame moment rows have rank [34], not 2"):
+        H.restricted_generator(nu, k, "non_slip", g, ops)
+
+
 def test_verify_navier_k_small():
     fits, rows = H.verify_navier_k((1, 2, 4, 8, 16), nu=1e-4)
     assert fits[0].passed, fits[0]

@@ -211,6 +211,52 @@ def test_cli_case_commands_reject_out_of_range_nu(tmp_path, monkeypatch, capsys,
         parse_config("[case]\nn = 2000\n", "resolvent")
 
 
+@pytest.mark.parametrize("command,text,message,too_large", [
+    ("homog", "[case]\nnu = 1e-8\n", "order 3714 for nu=1e-08, k=1",
+     "[case]\nnu = 0.5\nk = 2\n"),
+    ("spectrum", "[case]\nnu = 1e-8\n", "order 3714 for nu=1e-08, k=1",
+     "[case]\nnu = 0.5\nk = 2\n"),
+    ("evolve", "[case]\nnu = 1e-8\n", "order 3714 for nu=1e-08, k=1",
+     "[case]\nnu = 0.5\nk = 2\n"),
+    # every nu of the probe, at k = k_max
+    ("threshold", "[threshold]\nnu = 1e-3, 1e-8\n", "order 7427 for nu=1e-08, k=8",
+     "[threshold]\nnu = 1e-3, 0.5\nk_max = 2\n"),
+], ids=["homog", "spectrum", "evolve", "threshold"])
+def test_cli_grid_commands_reject_out_of_range_nu(tmp_path, monkeypatch, capsys,
+                                                 command, text, message, too_large):
+    # the order cap is a config error (exit 2), found before any grid is built
+    from couettelab import cli
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "grid_for", no_grid)
+    message += " exceeds the cap 1024"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text, command)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=r"requires nu k\^2 <= 1, got nu = 0.5, k = 2"):
+        parse_config(too_large, command)
+    if command != "threshold":
+        with pytest.raises(ConfigError, match=r"n = 2000 must lie in \[4, 1024\]"):
+            parse_config("[case]\nn = 2000\n", command)
+
+
+def test_cli_evolve_at_order_373(tmp_path):
+    # nu = 9.9e-6 gives order 373, where d2's rounding asymmetry puts the
+    # real form of M+ above 1e-12 (test_frame_forms_build_at_order_373)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[case]\nnu = 9.9e-6\n")
+    rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    doc = json.load(open(tmp_path / "o" / "report.json"))
+    assert doc["verdicts"]["decayed"]
+
+
 def test_cli_sweep_records_every_data_kind(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[sweep]\ncheck = nonslip\nnu = 1e-1, 1e-2, 1e-3\n")
