@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .grid import (border_dirichlet, frame_apply, from_real_frame, l2_norm,
+from .grid import (border_dirichlet, from_real_frame, l2_norm, pair_view,
                    quadrature, real_apply, real_form, to_real_frame,
                    wall_moment_residuals, wall_moment_rows)
 from .resolvent import (FRAME_RESIDUE_MAX, INFLUENCE_COND_MAX, EllipticSolver,
@@ -50,26 +50,45 @@ class EvolutionCase:
             raise ValueError(f"dt = {self.dt} exceeds the accuracy rule {bound:.4g}")
 
 
+def cn_update(s, wall_term, z, x):
+    """S (M- z + x) = S (2 z + x) - z + left (right z), one CN update.
+
+    S inverts the wall-bordered M+ with its wall columns zeroed, so
+    S M+ = 1 - left right, a real rank-2 wall term (`wall_term`, as
+    `CrankNicolson.wall_term`), and M- = 2 - M+ needs no product with d2.
+    s is (n, n), or an (m, n, n) stack with the wall terms stacked alike;
+    z and x are real, (n,), (n, c) or (m, n, c): frame vectors on their
+    float64 views (`grid.pair_view`), or a real field.  Returns a new
+    array.
+    """
+    left, right = wall_term
+    out = np.matmul(s, 2.0 * z + x)
+    out -= z
+    out += np.matmul(left, np.matmul(right, z))
+    return out
+
+
 class CrankNicolson:
     """One-step CN propagator with either wall treatment.
 
-    With L = nu(k^2 - d2) + iky, the explicit half M- = 1 - dt L/2 is the
-    real matrix m_minus_d2 * d2 plus the complex diagonal m_minus_diag,
-    applied as one real product with the shared d2.  Set-up builds the
-    wall-bordered M+ = 1 + dt L/2 (L from `resolvent.vorticity_matrix` at
-    lam = 0) in the real frame of `to_real_frame`,
-    inverts it as a real matrix and folds in, under velocity Dirichlet, the
-    influence-matrix correction: a real propagator S (`propagator`, in the
-    frame) and a complex node-space (N, 2) gain G for the wall-moment
-    targets,
+    With L = nu(k^2 - d2) + iky, set-up builds the wall-bordered
+    M+ = 1 + dt L/2 (L from `resolvent.vorticity_matrix` at lam = 0) in
+    the real frame of `to_real_frame`, inverts it as a real matrix and
+    folds in, under velocity Dirichlet, the influence-matrix correction: a
+    real propagator S (`propagator`, in the frame) and a complex node-space
+    (N, 2) gain G for the wall-moment targets,
 
-        w' = Q S Q^H (M- w + dt r) + G targets,
+        w' = Q S Q^H (M- w + dt r) + G targets.
 
-    so a step is one real d2 product, one diagonal, O(N) frame transforms
-    and one real mat-vec on the float64 view; no LU and no complex N x N
-    matrix is kept.  An unforced step with zero targets is z' = P z on the
-    frame vector z = Q^H w, with the real P = S M- built on first use
-    (`step_matrix`); `apply_steps` applies P^j without leaving the frame.
+    S M+ is the identity but for a real rank-2 wall term (`wall_term`), so
+    with M- = 2 - M+ a step is `cn_update`: frame
+    transforms, one real mat-vec with S on the float64 view and the O(N)
+    wall term; no d2 product, no LU and no complex N x N matrix is kept.
+    An unforced step with zero targets is z' = P z on the frame vector
+    z = Q^H w, with the real P = S M- built on first use (`step_matrix`);
+    `apply_steps` applies P^j without leaving the frame.  `apply_m_minus`
+    forms M- w in nodes, with the complex diagonal `m_minus_diag` and the
+    real `m_minus_d2` times d2, for residuals and references.
     """
 
     def __init__(self, nu, k, bc, dt, grid, ops):
@@ -96,8 +115,8 @@ class CrankNicolson:
         # the wall entries of the right-hand side are replaced by the bordering
         prop[:, walls] = 0.0
         self.gain = None
-        # S M+ = 1 - left @ right in the frame, a rank-2 wall term (step_matrix)
-        self._wall_term = (wall_cols, np.eye(n)[walls])
+        # S M+ = 1 - left @ right in the frame, a rank-2 wall term
+        self.wall_term = (wall_cols, np.eye(n)[walls])
         if bc == "non_slip":
             infl_cols = from_real_frame(
                 (wall_cols @ (math.sqrt(0.5) * np.array([[1, 1], [-1j, 1j]]))).T).T
@@ -112,9 +131,9 @@ class CrankNicolson:
             # Q^H G R Q is real: its real part as one (N, 4) x (4, N) product
             gain_q = to_real_frame(self.gain.T).T
             mom_q = np.conj(to_real_frame(mom))
-            self._wall_term = (np.hstack([gain_q.real, -gain_q.imag]),
-                               np.vstack([mom_q.real, mom_q.imag]))
-            prop -= self._wall_term[0] @ (self._wall_term[1] @ prop)
+            self.wall_term = (np.hstack([gain_q.real, -gain_q.imag]),
+                              np.vstack([mom_q.real, mom_q.imag]))
+            prop -= self.wall_term[0] @ (self.wall_term[1] @ prop)
         self.propagator = prop
         self.elliptic = EllipticSolver(grid, ops, k)
         self._stride_power = None                       # (s, P^s) once s > 1 is used
@@ -130,7 +149,7 @@ class CrankNicolson:
         """
         p = 2.0 * self.propagator
         p[np.diag_indices_from(p)] -= 1.0
-        left, right = self._wall_term
+        left, right = self.wall_term
         p += left @ right
         return p
 
@@ -142,8 +161,7 @@ class CrankNicolson:
         computed by `matrix_power` on first use and kept; any other j
         applies P j times.  z and out must not overlap.
         """
-        n = z.shape[0]
-        x, y = z.view(np.float64).reshape(n, 2), out.view(np.float64).reshape(n, 2)
+        x, y = pair_view(z), pair_view(out)
         if j == stride and stride > 1:
             if self._stride_power is None or self._stride_power[0] != stride:
                 self._stride_power = (
@@ -163,12 +181,12 @@ class CrankNicolson:
     def step(self, w, rhs_mid=None, moment_targets=(0.0, 0.0)):
         """Advance one dt.  rhs_mid is the time-centered forcing (nodal);
         moment_targets apply under velocity Dirichlet only."""
-        rhs = self.apply_m_minus(w)
-        if rhs_mid is not None:
-            rhs += self.dt * rhs_mid
-        if not np.isfinite(rhs[1:-1]).all():
+        z = pair_view(to_real_frame(w))
+        x = 0.0 if rhs_mid is None else pair_view(to_real_frame(self.dt * rhs_mid))
+        if not (np.isfinite(z).all() and np.isfinite(x).all()):
             raise ValueError(f"non-finite CN right-hand side at k = {self.k}")
-        w_new = frame_apply(self.propagator, rhs)
+        out = cn_update(self.propagator, self.wall_term, z, x)
+        w_new = from_real_frame(out.view(complex)[..., 0])
         if self.gain is not None:
             w_new += self.gain @ np.asarray(moment_targets, dtype=complex)
         return w_new

@@ -155,6 +155,12 @@ def real_apply(a, x):
     return out.view(complex).reshape(a.shape[:1] + x.shape[1:])
 
 
+def pair_view(z):
+    """The float64 view of a contiguous complex array, (..., n) -> (..., n, 2):
+    real and imaginary parts as two columns, for real (batched) products."""
+    return z.view(np.float64).reshape(z.shape + (2,))
+
+
 def border_dirichlet(a):
     """Replace the rows of a at y = +-1 by the identity rows of w(+-1) = 0,
     in place; returns a."""
@@ -250,11 +256,3 @@ def real_form(m):
     """Q^H m Q by O(n^2) slicing (complex; real when m is centrohermitian)."""
     return np.conj(to_real_frame(np.conj(to_real_frame(m.T).T)))
 
-
-def frame_apply(s, w):
-    """Q s Q^H w for a real-frame matrix s: s (n, n) with w (n,), or a stack
-    s (m, n, n) applied row by row to a block w (m, n).  The product runs on
-    the float64 view of Q^H w, one (batched) real matmul."""
-    z = to_real_frame(w)
-    out = np.matmul(s, z.view(np.float64).reshape(z.shape + (2,)))
-    return from_real_frame(out.view(complex)[..., 0])

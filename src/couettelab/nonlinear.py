@@ -7,9 +7,12 @@ Mode k vorticity (velocity-Dirichlet walls, enforced as wall moments):
 
 with the streamwise mean obeying (d/dt - nu d2) ubar = -f2_0, ubar(+-1) = 0.
 Linear parts step by Crank-Nicolson with the influence-matrix wall treatment
-(the same real-frame propagators the linear evolution module uses, applied to
-all modes as one block); the quadratic terms are explicit second-order
-Adams-Bashforth, dealiased by zero padding in x.
+(the real-frame propagators of the linear evolution module and its update
+rule `cn_update`, applied to all modes as one block; the mean by the same
+rule on its heat matrices); the quadratic terms are explicit second-order
+Adams-Bashforth, dealiased by the 3/2 rule: the x-transforms to and from
+the padded physical grid are two small real matrices.  Each step of the
+mode block is a handful of batched real products on float64 views.
 """
 
 import math
@@ -18,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .evolution import CrankNicolson, dt_accuracy_bound
-from .grid import (border_dirichlet, frame_apply, l2_norm, quadrature,
-                   real_apply)
-from .resolvent import recover_velocity
+from .evolution import CrankNicolson, cn_update, dt_accuracy_bound
+from .grid import (border_dirichlet, from_real_frame, l2_norm, pair_view,
+                   quadrature, real_apply, to_real_frame)
+from .resolvent import frame_solve, recover_velocity
 
 BLOWUP_GUARD = 1e8
 
@@ -70,6 +73,21 @@ def pad_modes(k_max):
     return size
 
 
+def x_transforms(k_max, m):
+    """Real matrices of the x-transforms between modes 0..k_max and m
+    padded physical points: synthesis (m, 2(k_max + 1)) and analysis
+    (2(k_max + 1), m), both acting on [Re c_0..c_k_max, Im c_0..c_k_max].
+
+    Their columns and rows are `irfft`/`rfft` of unit coefficients, so a
+    product rounds like the FFT it replaces; cos/sin tables raise the
+    rounding floor of the top modes about 100-fold.
+    """
+    unit = np.eye(k_max + 1)
+    synthesis = np.fft.irfft(np.vstack([unit, 1j * unit]), n=m, axis=1).T * m
+    spectra = np.fft.rfft(np.eye(m), axis=1)[:, :k_max + 1] / m
+    return synthesis, np.vstack([spectra.real.T, spectra.imag.T])
+
+
 def initial_state(amplitude, grid, ops, k_max):
     """Divergence-free, wall-compatible seed: amplitude * rot of
     (1-y^2)^2 sin x, rescaled so the velocity H^2 norm equals `amplitude`."""
@@ -103,55 +121,64 @@ def _h2_norm_of_mode(phi_k, k, grid, ops):
 class SpectralLab:
     """Workspace for the k = 1..k_max modes as one (k_max, N) block.
 
-    It keeps the stacked real-frame CN propagators and real elliptic
-    inverses of the modes (one batched real matmul each per step), the mean
-    flow's heat matrices and the dealiased product rule.
+    It keeps, stacked over the modes, the real-frame CN propagators with
+    their wall terms and the even and odd frame blocks of the elliptic
+    inverses (half the memory of node-space inverses); the mean flow's heat
+    inverse with its wall columns; and the two x-transform matrices of the
+    dealiased product rule (`x_transforms`).  A step is, in the real frame,
+    one batched real product per elliptic block, one d/dy product, two
+    small transform products and one batched CN product (`cn_update`).
     """
 
     def __init__(self, nu, k_max, grid, ops, dt):
         self.nu, self.k_max, self.dt = nu, k_max, dt
         self.grid, self.ops = grid, ops
         n = grid.n_points
+        ne = n - n // 2
         self._ks = np.arange(1, k_max + 1)
         self._propagators = np.empty((k_max, n, n))
-        self._inverses = np.empty((k_max, n, n))
-        self._m_minus_diag = np.empty((k_max, n), dtype=complex)
-        for k in range(1, k_max + 1):
+        self._wall_terms = (np.empty((k_max, n, 4)), np.empty((k_max, 4, n)))
+        self._elliptic = (np.empty((k_max, ne, ne)), np.empty((k_max, n - ne, n - ne)))
+        for k in self._ks:
             cn = CrankNicolson(nu, k, "non_slip", dt, grid, ops)
             self._propagators[k - 1] = cn.propagator
-            self._inverses[k - 1] = cn.elliptic.inverse
-            self._m_minus_diag[k - 1] = cn.m_minus_diag
-        self._m_minus_d2 = cn.m_minus_d2
-        # the mean flow's kept inverse; its zeroed wall columns drop the wall
-        # entries of the right-hand side, which the bordering replaces
-        self._heat_inverse = sla.inv(
-            border_dirichlet(np.eye(n) - 0.5 * dt * nu * ops.d2))
-        self._heat_inverse[:, [0, -1]] = 0.0
-        self._heat_minus = np.eye(n) + 0.5 * dt * nu * ops.d2
+            for stack, part in zip(self._wall_terms + self._elliptic,
+                                   cn.wall_term + cn.elliptic.frame_inverses):
+                stack[k - 1] = part
+        # the mean flow's heat step by the same rule: the inverse of the
+        # bordered 1 - dt nu d2 / 2 with its wall columns zeroed, and those
+        # columns against the wall rows
+        walls = [0, n - 1]
+        heat_inverse = sla.inv(border_dirichlet(np.eye(n) - 0.5 * dt * nu * ops.d2))
+        self._heat_wall_term = (heat_inverse[:, walls], np.eye(n)[walls])
+        heat_inverse[:, walls] = 0.0
+        self._heat_inverse = heat_inverse
         self.m_pad = pad_modes(k_max)
-        self._evaluated = (None, None, None)   # (state, its velocities, blocks)
+        self._synthesis, self._analysis = x_transforms(k_max, self.m_pad)
+        # (state, its velocities, blocks, frame of the vorticity block)
+        self._evaluated = (None, None, None, None)
 
     def velocities(self, state):
         """Per-mode velocity arrays for k = 0..k_max (k = 0 is the mean).
 
-        The elliptic solves of all modes are one batched real matmul and
-        their d/dy one real product.  The result for the last state object
-        asked about is kept, with its blocks (`blocks`), so a sampled step's
-        energy and the next step's right-hand side share one evaluation;
-        states are not modified once built."""
+        The elliptic solves of all modes are one batched real product per
+        frame block and their d/dy one real product.  The result for the
+        last state object asked about is kept, with its blocks (`blocks`),
+        so a sampled step's energy and the next step's right-hand side
+        share one evaluation; states are not modified once built."""
         if self._evaluated[0] is not state:
-            km, n = self.k_max, self.grid.n_points
             w = np.array([state.modes[k] for k in self._ks], dtype=complex)
             if not np.isfinite(w[:, 1:-1]).all():
                 raise ValueError("non-finite vorticity in the elliptic solves")
-            phi = np.matmul(self._inverses, w.view(np.float64).reshape(km, n, 2))
-            phi = phi.view(complex).reshape(km, n)
+            z = to_real_frame(w)
+            phi = frame_solve(self._elliptic, pair_view(z))
+            phi = from_real_frame(phi.view(complex)[..., 0])
             u1, u2 = recover_velocity(phi.T, self._ks, self.ops)
             u1, u2 = u1.T, u2.T
             out = {0: (state.mean_shear.astype(complex),
                        np.zeros_like(state.mean_shear, dtype=complex))}
             out.update({k: (u1[k - 1], u2[k - 1]) for k in self._ks})
-            self._evaluated = (state, out, (w, u1, u2))
+            self._evaluated = (state, out, (w, u1, u2), z)
         return self._evaluated[1]
 
     def blocks(self, state):
@@ -160,23 +187,33 @@ class SpectralLab:
         self.velocities(state)
         return self._evaluated[2]
 
+    def _frame(self, state):
+        """Q^H w of the mode block, from the kept evaluation."""
+        self.velocities(state)
+        return self._evaluated[3]
+
     def nonlinear_rhs(self, state):
         """Convolution forcings (f1, f2), each a (k_max + 1, N) array whose
         row k is mode k = 0..k_max, dealiased.
 
-        The fields are real, so zero-padded real FFTs in x realize the
-        truncated convolution exactly: one irfft of the three padded
-        coefficient sets and one rfft of the two products.
+        The fields are real, so the x-transforms to the m_pad padded points
+        realize the truncated convolution exactly: one synthesis product of
+        the three coefficient sets and one analysis product of the two
+        pointwise products.
         """
-        m, km = self.m_pad, self.k_max
+        km, n = self.k_max, self.grid.n_points
         w, u1, u2 = self.blocks(state)
-        coef = np.zeros((3, m // 2 + 1, self.grid.n_points), dtype=complex)
-        coef[0, 0] = state.mean_shear
-        coef[2, 0] = self.ops.d1 @ state.mean_shear
-        coef[0, 1:km + 1], coef[1, 1:km + 1], coef[2, 1:km + 1] = u1, u2, w
-        pu1, pu2, pw = np.fft.irfft(coef, n=m, axis=1) * m
-        f = np.fft.rfft(np.stack([pu1 * pw, pu2 * pw]), axis=1)[:, :km + 1] / m
-        return f[0], f[1]
+        coef = np.zeros((2, km + 1, 3, n))          # (Re/Im, mode, field, node)
+        coef[0, 0, 0] = state.mean_shear
+        coef[0, 0, 2] = self.ops.d1 @ state.mean_shear
+        for j, field in enumerate((u1, u2, w)):
+            coef[0, 1:, j], coef[1, 1:, j] = field.real, field.imag
+        pu1, pu2, pw = (self._synthesis @ coef.reshape(2 * (km + 1), 3 * n)
+                        ).reshape(self.m_pad, 3, n).transpose(1, 0, 2)
+        prod = np.stack([pu1 * pw, pu2 * pw], axis=1).reshape(self.m_pad, 2 * n)
+        f = (self._analysis @ prod).reshape(2, km + 1, 2, n)
+        f = f[0] + 1j * f[1]
+        return f[:, 0], f[:, 1]
 
     def rhs_vectors(self, state):
         """Nodal right-hand sides as a (k_max + 1, N) array: row k >= 1 is
@@ -192,13 +229,12 @@ class SpectralLab:
         """One CN + AB2 step; returns (new state, rhs for the next AB2 leg)."""
         rhs, mean_rhs = self.rhs_vectors(state)
         explicit = rhs if rhs_prev is None else 1.5 * rhs - 0.5 * rhs_prev[0]
-        w = self.blocks(state)[0]
-        b = (self._m_minus_diag * w
-             + self._m_minus_d2 * real_apply(self.ops.d2, w.T).T
-             + self.dt * explicit[1:])
-        if not np.isfinite(b[:, 1:-1]).all():
+        z = pair_view(self._frame(state))
+        x = pair_view(to_real_frame(self.dt * explicit[1:]))
+        if not (np.isfinite(z).all() and np.isfinite(x).all()):
             raise ValueError("non-finite CN right-hand side in the mode block")
-        w_new = frame_apply(self._propagators, b)
+        w_new = from_real_frame(
+            cn_update(self._propagators, self._wall_terms, z, x).view(complex)[..., 0])
         over = ~(np.abs(w_new).max(axis=1) <= BLOWUP_GUARD)
         if over.any():
             raise BlowupError(f"mode {int(np.argmax(over)) + 1} exceeded the blow-up guard")
@@ -206,9 +242,9 @@ class SpectralLab:
         modes = {0: np.zeros(self.grid.n_points, dtype=complex)}
         for k in self._ks:
             modes[k], modes[-k] = w_new[k - 1], conj[k - 1]
-        rhs_mean = self._heat_minus @ state.mean_shear + self.dt * explicit[0].real
-        new = PerturbationState(modes=modes, mean_shear=self._heat_inverse @ rhs_mean,
-                                time=state.time + self.dt)
+        mean = cn_update(self._heat_inverse, self._heat_wall_term, state.mean_shear,
+                         self.dt * explicit[0].real)
+        new = PerturbationState(modes=modes, mean_shear=mean, time=state.time + self.dt)
         return new, (rhs, mean_rhs)
 
 

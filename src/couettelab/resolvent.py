@@ -43,7 +43,8 @@ EPSILON_MAX = 0.02
 #: Largest admissible relative residue (Frobenius) of a real form in the
 #: frame of `grid.to_real_frame`: the imaginary part of HessenbergResolvent's
 #: interior operator, of the Crank-Nicolson M+ and of the spectral
-#: generator, and the real part of the sweeper's d/dy.  What it measures is
+#: generator, the real part of the sweeper's d/dy, and the off-diagonal
+#: frame blocks of EllipticSolver's bordered d2 - k^2.  What it measures is
 #: the reflection asymmetry that d2 = d1 d1 picks up from rounding: 2e-16 to
 #: 2e-14 at most orders, up to 3.7e-12 at a few (284, 334, 373, 420, 819,
 #: 840 of the orders 64..1024 scanned, k = 1).
@@ -164,28 +165,84 @@ class HomogeneousPair:
 
 
 class EllipticSolver:
-    """Prefactored (d2 - k^2) phi = w with phi(+-1) = 0.
+    """Prefactored (d2 - k^2) phi = w with phi(+-1) = 0, in the real frame.
 
-    The operator is real.  Set-up factors it in float64 and keeps its real
-    solution matrix `inverse`, wall columns zeroed (the bordering replaces the wall
-    values of w); a solve applies it to the float64 view of w.  At N = 346
-    on one BLAS thread that takes 30 us, against 200 us for triangular
-    solves on the (N, 2) real view, in the same memory and with the same
-    error (~1e-12 relative: the operator's condition number is ~N^4).
+    The bordered operator A is real and centrosymmetric, J A J = A with J
+    the node reversal, so in the frame of `grid.to_real_frame` it is block
+    diagonal: an even block of the reflection sums and the middle node
+    (size N - N//2) and an odd block of the differences (size N//2).
+    Set-up builds the two blocks by O(N^2) real slicing of A and refuses
+    an A whose dropped part, the off-diagonal frame blocks ||A - J A J||
+    relative to the kept ||A + J A J|| (Frobenius), exceeds
+    FRAME_RESIDUE_MAX.  Each block is inverted by LU (`lu_factor`, then
+    `lu_solve` on the identity; an explicit `inv` loses 2-4 digits in
+    u = d1 phi) and its wall column zeroed, since the bordering replaces
+    the wall values of w.  `frame_inverses` holds (even, odd); a solve is
+    a frame transform, one real product per block on the float64 view
+    (`frame_solve`) and the transform back.
+
+    Measured against a longdouble-refined solve of A (nu = 1e-3 and 1e-5
+    at k = 1, and 1e-4 at k = 4; N = 81 to 374): u = d1 phi is within
+    1.6e-14 to 9.0e-13 relative, phi within 3.5e-13 on smooth and random
+    data but only 1.1e-10 on a profile sheared to t = 6 (nu k^2)^(-1/3),
+    whose phi is small against w: the operator's condition number is
+    ~N^4 (`test_elliptic_solver_matches_refined_solve`).
     """
 
     def __init__(self, grid, ops, k):
         n = grid.n_points
-        inv = sla.lu_solve(sla.lu_factor(border_dirichlet(ops.d2 - k**2 * np.eye(n))),
-                           np.eye(n))
-        inv[:, [0, -1]] = 0.0
-        self.inverse = np.ascontiguousarray(inv)
+        h = n // 2
+        a = border_dirichlet(ops.d2 - k**2 * np.eye(n))
+        ja = a[::-1, ::-1]
+        residue = np.linalg.norm(a - ja) / np.linalg.norm(a + ja)
+        self.reflection_residue = float(residue)
+        if not residue <= FRAME_RESIDUE_MAX:
+            raise RuntimeError(
+                f"elliptic operator is not reflection symmetric at k = {k}, "
+                f"N = {n}: relative off-diagonal residue of its frame blocks "
+                f"{residue:.3g} > {FRAME_RESIDUE_MAX:g}")
+        # the reflection average S = (A + J A J)/2 in the basis
+        # (e_i +- e_{n-1-i})/sqrt 2, i < h, plus e_h for odd n: S11 +- S12 J
+        # on the pairs, sqrt 2 times the middle row and column
+        s = 0.5 * (a + ja)
+        s11, s12j = s[:h, :h], s[:h, ::-1][:, :h]
+        even = np.empty((n - h, n - h))
+        even[:h, :h] = s11 + s12j
+        if n % 2:
+            even[:h, h] = math.sqrt(2.0) * s[:h, h]
+            even[h, :h] = math.sqrt(2.0) * s[h, :h]
+            even[h, h] = s[h, h]
+        self.frame_inverses = tuple(_lu_inverse(b) for b in (even, s11 - s12j))
 
     def solve(self, w):
+        """phi for w, an (N,) vector or an (N, m) block of columns."""
         w = np.asarray(w)
         if not np.isfinite(w[1:-1]).all():
             raise ValueError("non-finite right-hand side in the elliptic solve")
-        return real_apply(self.inverse, w)
+        z = np.ascontiguousarray(to_real_frame(w.T).T)
+        phi = frame_solve(self.frame_inverses,
+                          z.view(np.float64).reshape(z.shape[0], -1))
+        return from_real_frame(phi.view(complex).reshape(w.shape).T).T
+
+
+def _lu_inverse(b):
+    """Inverse of a real block by LU, its first (wall) column zeroed."""
+    inv = sla.lu_solve(sla.lu_factor(b), np.eye(len(b)))
+    inv[:, 0] = 0.0
+    return inv
+
+
+def frame_solve(frame_inverses, z):
+    """The (even, odd) frame inverses applied to z, a real array whose
+    second-to-last axis holds the frame coordinates: (N, c) with single
+    blocks, or (m, N, c) with (m, ., .) stacks of them, one real (batched)
+    product per block."""
+    even, odd = frame_inverses
+    ne = even.shape[-1]
+    out = np.empty(even.shape[:-2] + z.shape[-2:])
+    np.matmul(even, z[..., :ne, :], out=out[..., :ne, :])
+    np.matmul(odd, z[..., ne:, :], out=out[..., ne:, :])
+    return out
 
 
 def recover_velocity(phi, k, ops):

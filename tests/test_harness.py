@@ -344,8 +344,8 @@ def test_sweep_and_c_bounds_factor_no_dense_lu_per_lambda(monkeypatch):
     for bc in ("navier_slip", "non_slip"):
         sweeper = H._WorstCaseSweeper(1e-3, 1, bc, "pair")
         n = sweeper.grid.n_points
-        # EllipticSolver's LU and the reduction
-        assert counts() == {"lu_factor": [n], "dense_solve": [],
+        # EllipticSolver's LUs of its two frame blocks and the reduction
+        assert counts() == {"lu_factor": [n - n // 2, n // 2], "dense_solve": [],
                             "hessenberg": [n - 2], "zgbtrf": []}
         _, evals = sweeper.sweep()
         got = counts()

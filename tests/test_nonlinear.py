@@ -194,6 +194,20 @@ def test_block_advance_matches_reference_at_kmax_8(order):
     check_advance_against_reference(1e-3, 8, g, build_diff_ops(g))
 
 
+def test_mean_heat_step_with_wall_values(setup):
+    # the lab's heat step S(2u + dt f) - u + (wall columns)(wall values of u)
+    # equals S(M- u + dt f) also for a mean that is not zero at the walls,
+    # which run_perturbation never produces
+    nu, K, g, ops = setup
+    kmax = 3
+    dt = NL.dt_accuracy_bound(nu, kmax)
+    st = multi_mode_state(g, ops, kmax, amp=0.01)
+    st.mean_shear = 1e-3 * (1.0 + g.nodes + g.nodes**2) * np.cos(g.nodes)
+    _, mean, _ = reference_advance(nu, kmax, g, ops, dt, st, None)
+    new, _ = NL.SpectralLab(nu, kmax, g, ops, dt).advance(st)
+    assert np.abs(new.mean_shear - mean).max() <= 1e-12 * np.abs(mean).max()
+
+
 class PerModeEnergy(NL.EnergyAccumulator):
     """EnergyAccumulator.take as a per-mode loop of quadratures."""
 

@@ -163,21 +163,92 @@ def test_recover_velocity_examples(setup64):
     assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
-def test_elliptic_solver_matches_dense_solve(setup64):
-    g, ops = setup64
+@pytest.mark.parametrize("order", [64, 65])          # odd and even n_points
+def test_elliptic_solver_matches_dense_solve(order):
+    g = build_grid(order)
+    ops = build_diff_ops(g)
     n = g.n_points
     rng = np.random.default_rng(4)
-    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     for k in (1, 3):
         a = (ops.d2 - k**2 * np.eye(n)).astype(complex)
         a[[0, -1]] = np.eye(n)[[0, -1]]
         rhs = w.copy()
         rhs[[0, -1]] = 0.0
         ref = np.linalg.solve(a, rhs)
-        phi = R.EllipticSolver(g, ops, k).solve(w)
-        assert np.linalg.norm(phi - ref) <= 1e-12 * np.linalg.norm(ref), k
+        ell = R.EllipticSolver(g, ops, k)
+        assert [b.shape for b in ell.frame_inverses] == [(n - n // 2,) * 2, (n // 2,) * 2]
+        phi = ell.solve(w[:, 0])
+        assert np.linalg.norm(phi - ref[:, 0]) <= 1e-12 * np.linalg.norm(ref[:, 0]), k
+        # an (N, m) block is solved column by column
+        block = ell.solve(w)
+        assert block.shape == w.shape
+        for j in range(w.shape[1]):
+            assert np.array_equal(block[:, j], ell.solve(w[:, j])), (k, j)
     with pytest.raises(ValueError, match="non-finite"):
         R.EllipticSolver(g, ops, 1).solve(np.full(n, np.nan))
+
+
+def test_elliptic_solver_reflection_guard(setup64):
+    g, ops = setup64
+    d2 = ops.d2.copy()
+    d2[1, 2] += 1e-6 * np.abs(d2).max()       # breaks J d2 J = d2
+    bad = replace(ops, d2=d2)
+    with pytest.raises(RuntimeError, match=rf"elliptic operator is not reflection "
+                       rf"symmetric at k = 2, N = {g.n_points}: relative "
+                       rf"off-diagonal residue of its frame blocks"):
+        R.EllipticSolver(g, bad, 2)
+    assert R.EllipticSolver(g, ops, 2).reflection_residue <= 1e-14
+
+
+def _refined_elliptic_solve(g, ops, k, w, sweeps=6):
+    """phi and d1 phi for the bordered (d2 - k^2) phi = w by iterative
+    refinement of a float64 LU solve, residuals in np.longdouble."""
+    n = g.n_points
+    a = ops.d2 - k**2 * np.eye(n)
+    a[[0, -1]] = np.eye(n)[[0, -1]]
+    lu = sla.lu_factor(a)
+    b = w.astype(np.clongdouble)
+    b[[0, -1]] = 0.0
+    phi = np.zeros(n, dtype=np.clongdouble)
+    for _ in range(sweeps):
+        r = (b - a.astype(np.longdouble) @ phi).astype(complex)
+        phi = phi + sla.lu_solve(lu, r)
+    return phi, ops.d1.astype(np.longdouble) @ phi
+
+
+# Relative errors measured against the refined solve (three data sets, the
+# three cases below): u = d1 phi 1.6e-14 to 9.0e-13; phi 2.3e-14 to 3.5e-13
+# on the profile and random data, up to 1.1e-10 on the sheared profile,
+# whose phi is small against w.  The bounds are 9-14 times those maxima.
+ELLIPTIC_TOL = {"profile": (5e-12, 1e-11), "random": (5e-12, 1e-11),
+                "sheared": (1e-9, 1e-11)}
+
+
+@pytest.mark.parametrize("nu, k, order", [
+    (1e-3, 1, None),
+    (1e-5, 1, 373),         # d2 rounds reflection-asymmetrically at order 373
+    (1e-4, 4, None),
+])
+def test_elliptic_solver_matches_refined_solve(nu, k, order):
+    g = build_grid(order or default_order(nu, k))
+    ops = build_diff_ops(g)
+    y = g.nodes
+    profile = (ops.d2 - k**2 * np.eye(g.n_points)) @ (
+        (1 - y**2) ** 2 * np.exp(0.5j * np.pi * y))          # criterion 7's
+    rng = np.random.default_rng(11)
+    tau = (nu * k**2) ** (-1 / 3)
+    data = {"profile": profile,
+            "random": rng.standard_normal(g.n_points) + 1j * rng.standard_normal(g.n_points),
+            "sheared": profile * np.exp(-6j * tau * k * y)}
+    ell = R.EllipticSolver(g, ops, k)
+    for name, w in data.items():
+        phi_ref, u_ref = _refined_elliptic_solve(g, ops, k, w)
+        phi = ell.solve(w)
+        u, _ = R.recover_velocity(phi, k, ops)
+        tol_phi, tol_u = ELLIPTIC_TOL[name]
+        assert np.linalg.norm(phi - phi_ref) <= tol_phi * np.linalg.norm(phi_ref), name
+        assert np.linalg.norm(u - u_ref) <= tol_u * np.linalg.norm(u_ref), name
 
 
 def test_recover_velocity_block_matches_columns(setup64):
