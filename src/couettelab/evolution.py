@@ -16,11 +16,11 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .grid import (border_dirichlet, from_real_frame, l2_norm, pair_view,
-                   quadrature, real_apply, real_form, to_real_frame,
-                   wall_moment_residuals, wall_moment_rows)
+from .grid import (border_dirichlet, frame_weights, from_real_frame, l2_norm,
+                   pair_view, quadrature, real_apply, reflection_blocks,
+                   to_real_frame, wall_moment_residuals, wall_moment_rows)
 from .resolvent import (FRAME_RESIDUE_MAX, INFLUENCE_COND_MAX, EllipticSolver,
-                        ResolventCase, recover_velocity, vorticity_matrix)
+                        d1_frame_blocks, frame_d1, frame_solve)
 from .weights import rho_k
 
 MAX_STEPS = 400_000
@@ -50,21 +50,87 @@ class EvolutionCase:
             raise ValueError(f"dt = {self.dt} exceeds the accuracy rule {bound:.4g}")
 
 
-def cn_update(s, wall_term, z, x):
+def m_plus_blocks(nu, k, dt, grid, ops):
+    """Real frame blocks of the wall-bordered M+ = 1 + dt L/2,
+    L = nu(k^2 - d2) + iky, at any integer k (k = 0 is the heat matrix).
+
+    In the frame of `to_real_frame`, M+ = [[A_e, -Y], [Y, A_o]]: A_e and
+    A_o are the even and odd blocks of the bordered real part
+    (`grid.reflection_blocks`), and Y = (dt k/2) diag(y_i) on the node pairs
+    i < N//2 couples them; it is zero on the wall pair, whose rows the
+    bordering replaces.  Set-up inverts A_o and the Schur complement
+    Sigma = A_e + Y A_o^-1 Y, two real inverses of half the order (N^3/2
+    flops against 2 N^3 for M+).  It refuses an M+ whose dropped part, the
+    imaginary part of Q^H M+ Q relative to its real part (Frobenius), exceeds
+    FRAME_RESIDUE_MAX, and names k, nu, N and that residue.
+
+    Returns ((A_o^-1, Sigma^-1, y), (wall columns, wall rows), residue): y
+    holds the N//2 diagonal entries of Y; the wall columns (N, 2) are M+^-1
+    in the frame at the two frame wall coordinates, from two block solves,
+    and the wall rows (2, N) select those coordinates.
+    """
+    n = grid.n_points
+    h = n // 2
+    a = np.multiply(ops.d2, -0.5 * dt * nu)
+    a[np.diag_indices(n)] += 1.0 + 0.5 * dt * nu * k**2
+    shear = 0.5 * dt * k * grid.nodes
+    shear[[0, -1]] = 0.0
+    (even, odd, y), kept, dropped = reflection_blocks(border_dirichlet(a), shear=shear)
+    del a
+    residue = dropped / kept
+    if not residue <= FRAME_RESIDUE_MAX:
+        raise RuntimeError(
+            f"M+ is not reflection symmetric at k = {k}, nu = {nu:g}, N = {n}: "
+            f"relative imaginary residue of its real form {residue:.3g} > "
+            f"{FRAME_RESIDUE_MAX:g}")
+    odd_inv = sla.inv(odd)
+    even[:h, :h] += y[:, None] * odd_inv * y
+    blocks = (odd_inv, sla.inv(even), y)
+    rows = np.eye(n)[[0, n - h]]
+    return blocks, (schur_solve(blocks, rows.T), rows), float(residue)
+
+
+def schur_solve(blocks, r):
+    """M+^-1 r in the frame, from the blocks (A_o^-1, Sigma^-1, y) of
+    `m_plus_blocks`: with r = (r_e, r_o),
+
+        t = A_o^-1 r_o,  x_e = Sigma^-1 (r_e + Y t),  x_o = t - A_o^-1 Y x_e,
+
+    three real products of half the order.  r is real, (N, c), or (m, N, c)
+    with (m, ...) stacks of the blocks; returns a new array.
+    """
+    odd_inv, schur_inv, y = blocks
+    h, ne = odd_inv.shape[-1], schur_inv.shape[-1]
+    y = y[..., None]
+    t = np.matmul(odd_inv, r[..., ne:, :])
+    b = r[..., :ne, :].copy()
+    b[..., :h, :] += y * t
+    out = np.empty(schur_inv.shape[:-2] + r.shape[-2:])
+    np.matmul(schur_inv, b, out=out[..., :ne, :])
+    t -= np.matmul(odd_inv, y * out[..., :h, :])
+    out[..., ne:, :] = t
+    return out
+
+
+def cn_update(blocks, wall_term, z, x):
     """S (M- z + x) = S (2 z + x) - z + left (right z), one CN update.
 
-    S inverts the wall-bordered M+ with its wall columns zeroed, so
-    S M+ = 1 - left right, a real rank-2 wall term (`wall_term`, as
-    `CrankNicolson.wall_term`), and M- = 2 - M+ needs no product with d2.
-    s is (n, n), or an (m, n, n) stack with the wall terms stacked alike;
-    z and x are real, (n,), (n, c) or (m, n, c): frame vectors on their
-    float64 views (`grid.pair_view`), or a real field.  Returns a new
-    array.
+    S = (1 - left right) M+^-1, with M+^-1 the wall-bordered M+ inverted
+    by its frame blocks (`schur_solve`) and left right a real rank-2 wall
+    term (`wall_term`, as `CrankNicolson.wall_term`) that annihilates the
+    wall columns of M+^-1: S drops the wall entries of its argument, the
+    bordering's data, and under velocity Dirichlet walls applies the
+    influence correction.  So S M+ = 1 - left right, M- = 2 - M+ needs no
+    product with d2, and the update is applied as
+    (1 - left right)(M+^-1 (2 z + x) - z).  Blocks and wall terms are
+    single or (m, ...) stacks; z and x are real, (n, c) or (m, n, c):
+    frame vectors on their float64 views (`grid.pair_view`).  Returns a
+    new array.
     """
     left, right = wall_term
-    out = np.matmul(s, 2.0 * z + x)
+    out = schur_solve(blocks, 2.0 * z + x)
     out -= z
-    out += np.matmul(left, np.matmul(right, z))
+    out -= np.matmul(left, np.matmul(right, out))
     return out
 
 
@@ -72,54 +138,41 @@ class CrankNicolson:
     """One-step CN propagator with either wall treatment.
 
     With L = nu(k^2 - d2) + iky, set-up builds the wall-bordered
-    M+ = 1 + dt L/2 (L from `resolvent.vorticity_matrix` at lam = 0) in
-    the real frame of `to_real_frame`, inverts it as a real matrix and
-    folds in, under velocity Dirichlet, the influence-matrix correction: a
-    real propagator S (`propagator`, in the frame) and a complex node-space
-    (N, 2) gain G for the wall-moment targets,
+    M+ = 1 + dt L/2 as real frame blocks (`m_plus_blocks`: the odd block's
+    inverse and the inverse of its Schur complement, both of half the
+    order) and, under velocity Dirichlet walls, the influence-matrix
+    correction: a complex node-space (N, 2) gain G for the wall-moment
+    targets and the real wall term of S M+ = 1 - left right
+    (`wall_term`), so that
 
-        w' = Q S Q^H (M- w + dt r) + G targets.
+        w' = Q S Q^H (M- w + dt r) + G targets,  S = (1 - left right) M+^-1
 
-    S M+ is the identity but for a real rank-2 wall term (`wall_term`), so
-    with M- = 2 - M+ a step is `cn_update`: frame
-    transforms, one real mat-vec with S on the float64 view and the O(N)
-    wall term; no d2 product, no LU and no complex N x N matrix is kept.
-    An unforced step with zero targets is z' = P z on the frame vector
-    z = Q^H w, with the real P = S M- built on first use (`step_matrix`);
-    `apply_steps` applies P^j without leaving the frame.  `apply_m_minus`
-    forms M- w in nodes, with the complex diagonal `m_minus_diag` and the
-    real `m_minus_d2` times d2, for residuals and references.
+    with left right the frame form of G R (R the moment rows), or of the
+    wall columns of M+^-1 against the wall rows under vorticity Dirichlet
+    walls.  A step is
+    `cn_update`: frame transforms, three half-order real products on the
+    float64 view and O(N) wall terms; no d2 product, no LU and no N x N
+    matrix is kept.  An unforced step with zero targets is z' = P z on the
+    frame vector z = Q^H w, with the real P = S M- (`step_matrix`) built
+    on first use from the dense S (`propagator`, assembled from the
+    blocks); `apply_steps` applies P^j without leaving the frame.
+    `apply_m_minus` forms M- w in nodes, with the complex diagonal
+    `m_minus_diag` and the real `m_minus_d2` times d2, for residuals and
+    references.  The elliptic solver of the ledger is built on first use.
     """
 
     def __init__(self, nu, k, bc, dt, grid, ops):
         self.nu, self.k, self.bc, self.dt = nu, k, bc, dt
         self.grid, self.ops = grid, ops
-        n = grid.n_points
         self.m_minus_diag = 1.0 - 0.5 * dt * (nu * k**2 + 1j * k * grid.nodes)
         self.m_minus_d2 = 0.5 * dt * nu
-        m_plus = np.eye(n) + 0.5 * dt * vorticity_matrix(
-            ResolventCase(nu=nu, k=k, bc=bc), grid, ops)
-        m_plus = real_form(border_dirichlet(m_plus))
-        residue = np.linalg.norm(m_plus.imag) / np.linalg.norm(m_plus.real)
-        self.reflection_residue = float(residue)
-        if not residue <= FRAME_RESIDUE_MAX:
-            raise RuntimeError(
-                f"M+ is not reflection symmetric at k = {k}, nu = {nu:g}, N = {n}: "
-                f"relative imaginary residue of its real form {residue:.3g} > "
-                f"{FRAME_RESIDUE_MAX:g}")
-        prop = sla.inv(m_plus.real)
-        # frame coordinates of the wall nodes; Q^H [e_0, e_{n-1}] is
-        # [[1, 1], [-i, i]] / sqrt 2 on them
-        walls = [0, n - n // 2]
-        wall_cols = prop[:, walls]
-        # the wall entries of the right-hand side are replaced by the bordering
-        prop[:, walls] = 0.0
+        self.blocks, self.wall_term, self.reflection_residue = m_plus_blocks(
+            nu, k, dt, grid, ops)
         self.gain = None
-        # S M+ = 1 - left @ right in the frame, a rank-2 wall term
-        self.wall_term = (wall_cols, np.eye(n)[walls])
         if bc == "non_slip":
-            infl_cols = from_real_frame(
-                (wall_cols @ (math.sqrt(0.5) * np.array([[1, 1], [-1j, 1j]]))).T).T
+            # Q^H [e_0, e_{n-1}] is [[1, 1], [-i, i]] / sqrt 2 on the frame walls
+            infl_cols = from_real_frame((self.wall_term[0] @ (
+                math.sqrt(0.5) * np.array([[1, 1], [-1j, 1j]]))).T).T
             mom = wall_moment_rows(grid, k)
             infl_mat = real_apply(mom, infl_cols)
             cond = np.linalg.cond(infl_mat)
@@ -133,10 +186,22 @@ class CrankNicolson:
             mom_q = np.conj(to_real_frame(mom))
             self.wall_term = (np.hstack([gain_q.real, -gain_q.imag]),
                               np.vstack([mom_q.real, mom_q.imag]))
-            prop -= self.wall_term[0] @ (self.wall_term[1] @ prop)
-        self.propagator = prop
-        self.elliptic = EllipticSolver(grid, ops, k)
         self._stride_power = None                       # (s, P^s) once s > 1 is used
+
+    @cached_property
+    def elliptic(self):
+        """The `EllipticSolver` at k, for the ledger's velocities."""
+        return EllipticSolver(self.grid, self.ops, self.k)
+
+    @property
+    def propagator(self):
+        """The dense real S = (1 - left right) M+^-1 in the frame, assembled
+        from the blocks (`schur_solve` on the identity) on each read; only
+        `step_matrix` needs it, once."""
+        s = schur_solve(self.blocks, np.eye(self.grid.n_points))
+        left, right = self.wall_term
+        s -= left @ (right @ s)
+        return s
 
     @cached_property
     def step_matrix(self):
@@ -185,7 +250,7 @@ class CrankNicolson:
         x = 0.0 if rhs_mid is None else pair_view(to_real_frame(self.dt * rhs_mid))
         if not (np.isfinite(z).all() and np.isfinite(x).all()):
             raise ValueError(f"non-finite CN right-hand side at k = {self.k}")
-        out = cn_update(self.propagator, self.wall_term, z, x)
+        out = cn_update(self.blocks, self.wall_term, z, x)
         w_new = from_real_frame(out.view(complex)[..., 0])
         if self.gain is not None:
             w_new += self.gain @ np.asarray(moment_targets, dtype=complex)
@@ -232,9 +297,12 @@ class _Accumulator:
     z = Q^H w of a (BLOCK, N) buffer: `take` copies z into the next row, or,
     given none, records the row `slot()` into which the caller already
     wrote the sample (an unforced run multiplies straight into it).  A full
-    buffer, or a read of `led`, flushes it: one `from_real_frame` back to
-    nodes, a finiteness check, one elliptic solve and one velocity recovery
-    on the block, the weighted quadratures as one small product, then the
+    buffer, or a read of `led`, flushes it, in the frame: a finiteness
+    check, one elliptic solve (`frame_solve`) and one d/dy (`frame_d1`) on
+    the block's columns, the weighted quadratures of |w|^2 and |u|^2 as
+    small products with the weights mirrored onto the odd half
+    (`grid.frame_weights`; the weights are symmetric in y), one
+    `from_real_frame` of phi and u1 for max |u|^2 over the nodes, then the
     running maxima and trapezoid sums extended by the block's samples.  A
     flush leaves the rows as they are, so the last sample's row stays valid
     until BLOCK samples later.
@@ -247,8 +315,11 @@ class _Accumulator:
         self.stepper = stepper
         q = grid.quad_weights
         rho = rho_k(grid.nodes, (abs(case.k) / case.nu) ** (1 / 3))
-        # quadrature rows applied to |w|^2: plain, rho-weighted, wall-distance
-        self._w_rows = np.vstack([q, rho * q, (1.0 - np.abs(grid.nodes)) * q])
+        # frame quadrature rows applied to |w|^2: plain, rho-weighted,
+        # wall-distance; the first also to |u|^2
+        self._w_rows = frame_weights(
+            np.vstack([q, rho * q, (1.0 - np.abs(grid.nodes)) * q]))
+        self._d1 = d1_frame_blocks(ops)
         self._led = SpaceTimeLedger()
         self._led.data_l2 = l2_norm(grid, case.omega0)
         self._led.data_dy_l2 = l2_norm(grid, real_apply(ops.d1, case.omega0))
@@ -279,21 +350,23 @@ class _Accumulator:
         m = len(self._meta)
         if m == 0:
             return
-        g, led = self.grid, self._led
-        w = np.ascontiguousarray(from_real_frame(self._buf[:m]).T)
-        if not np.isfinite(w).all():
+        led, k2 = self._led, self.case.k ** 2
+        z = np.ascontiguousarray(self._buf[:m].T)               # (N, m) columns
+        if not np.isfinite(z).all():
             raise ValueError(
                 f"non-finite vorticity in the CN advance at k = {self.case.k}")
-        phi = self.stepper.elliptic.solve(w)
-        u1, u2 = recover_velocity(phi, self.case.k, self.ops)
-        umod2 = np.abs(u1) ** 2 + np.abs(u2) ** 2
-        w_sums = np.abs(self._w_rows @ (np.abs(w) ** 2))       # (3, m)
-        u_sums = np.abs(g.quad_weights @ umod2)
+        phi = frame_solve(self.stepper.elliptic.frame_inverses, z.view(np.float64))
+        u1 = frame_d1(self._d1, phi)
+        phi, u1 = phi.view(complex), u1.view(complex)
+        w_sums = np.abs(self._w_rows @ (np.abs(z) ** 2))        # (3, m)
+        u_sums = np.abs(self._w_rows[0] @ (np.abs(u1) ** 2 + k2 * np.abs(phi) ** 2))
+        phi_n, u1_n = from_real_frame(np.stack([phi.T, u1.T]))
+        umax2 = float(np.max(np.abs(u1_n) ** 2 + k2 * np.abs(phi_n) ** 2))
         ts = [s[0] for s in self._meta]
         # integrands of the trapezoid sums, one column per sample
         vals = np.vstack([u_sums, w_sums[0], w_sums[1],
                           [s[1] for s in self._meta], [s[2] for s in self._meta]])
-        led.u_linf_linf = max(led.u_linf_linf, math.sqrt(float(np.max(umod2))))
+        led.u_linf_linf = max(led.u_linf_linf, math.sqrt(umax2))
         led.w_linf_l2 = max(led.w_linf_l2, math.sqrt(float(np.max(w_sums[0]))))
         led.boundary_w_linf_l2 = max(led.boundary_w_linf_l2,
                                      math.sqrt(float(np.max(w_sums[2]))))
@@ -350,10 +423,7 @@ def run(case, grid, ops, store_every=1, auto_extend=True):
     rhs_prev, n1, n2 = _rhs_of(case, grid, ops, 0.0)
     z = acc.slot()                  # the row the first sample goes to
     acc.take(0.0, to_real_frame(w), n1, n2)
-    # ||w||^2 = sum q |w|^2 over the frame: the pair (i, n-1-i) maps to the
-    # rows i and n-h+i, with q_i = q_{n-1-i}
-    h = grid.n_points // 2
-    q_frame = np.concatenate([grid.quad_weights[:-h], grid.quad_weights[:h]])
+    q_frame = frame_weights(grid.quad_weights)
     t = 0.0
     steps = 0
     while True:

@@ -252,7 +252,63 @@ def from_real_frame(z):
     return w
 
 
+def frame_weights(q):
+    """Nodal weights symmetric in y, moved to the frame along the last axis:
+    sum q |w|^2 = sum frame_weights(q) |Q^H w|^2, since the pair
+    (i, n-1-i) maps to the frame rows i and n - n//2 + i and Q is unitary
+    on it."""
+    h = q.shape[-1] // 2
+    return np.concatenate([q[..., :q.shape[-1] - h], q[..., :h]], axis=-1)
+
+
 def real_form(m):
     """Q^H m Q by O(n^2) slicing (complex; real when m is centrohermitian)."""
     return np.conj(to_real_frame(np.conj(to_real_frame(m.T).T)))
 
+
+def reflection_blocks(a, parity=1, shear=None):
+    """Frame blocks of the real (n, n) matrix a, by O(n^2) real slicing.
+
+    The frame of `to_real_frame` keeps x = (a + parity J a J)/2, J the node
+    reversal.  For parity 1, x is centrosymmetric and Q^H x Q = diag(even,
+    odd): even (size n - n//2) on the reflection sums and the middle node,
+    odd (size n//2) on the differences.  For parity -1, x is anti-
+    centrosymmetric (d/dy) and Q^H x Q = [[0, i eo], [-i oe, 0]], with eo
+    of shape (n - n//2, n//2) and oe its transposed shape.  With h = n//2
+    and P, M = x11 +- x12 J, the blocks are [[P, c], [r, x_hh]] and M in the
+    first case, [[M], [r]] and [P, c] in the second, where c and r are
+    sqrt 2 times the middle column and row (odd n only).
+
+    A real diagonal `shear` (parity 1) adds i diag(shear), as the shear
+    iky adds to the CN and resolvent operators: its odd part s becomes
+    Q^H i diag(s) Q = [[0, -Y], [Y, 0]], Y = diag(y) on the node pairs,
+    and y is returned as a third block.
+
+    Returns (blocks, kept, dropped): the blocks, and the Frobenius norms of
+    the part Q^H . Q keeps and of the part it leaves out (for a shear: the
+    real and the imaginary part of the frame form).  Only (h, n)
+    temporaries are made.
+    """
+    n = a.shape[0]
+    h = n // 2
+    top, jtop = a[:h], a[::-1, ::-1][:h]
+    x, d = (top + jtop, top - jtop) if parity > 0 else (top - jtop, top + jtop)
+    x *= 0.5                                        # rows 0..h-1 of x
+    kept, dropped = 2.0 * np.vdot(x, x), 0.5 * np.vdot(d, d)
+    del d
+    plus = np.empty((n - h, n - h))
+    plus[:h, :h] = x[:, :h] + x[:, ::-1][:, :h]
+    minus = x[:, :h] - x[:, ::-1][:, :h]
+    if n % 2:
+        mid = 0.5 * (a[h] + parity * a[h, ::-1])
+        kept += np.sum(mid * mid)
+        dropped += 0.25 * np.sum((a[h] - parity * a[h, ::-1]) ** 2)
+        plus[:h, h] = math.sqrt(2.0) * x[:, h]
+        plus[h, :h] = math.sqrt(2.0) * mid[:h]
+        plus[h, h] = mid[h]
+    blocks = (plus, minus) if parity > 0 else (np.vstack([minus, plus[h:, :h]]), plus[:h])
+    if shear is not None:
+        kept += 0.25 * np.sum((shear - shear[::-1]) ** 2)
+        dropped += 0.25 * np.sum((shear + shear[::-1]) ** 2)
+        blocks += (0.5 * (shear[:h] - shear[::-1][:h]),)
+    return blocks, math.sqrt(kept), math.sqrt(dropped)

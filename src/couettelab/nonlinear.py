@@ -7,24 +7,23 @@ Mode k vorticity (velocity-Dirichlet walls, enforced as wall moments):
 
 with the streamwise mean obeying (d/dt - nu d2) ubar = -f2_0, ubar(+-1) = 0.
 Linear parts step by Crank-Nicolson with the influence-matrix wall treatment
-(the real-frame propagators of the linear evolution module and its update
-rule `cn_update`, applied to all modes as one block; the mean by the same
-rule on its heat matrices); the quadratic terms are explicit second-order
-Adams-Bashforth, dealiased by the 3/2 rule: the x-transforms to and from
-the padded physical grid are two small real matrices.  Each step of the
-mode block is a handful of batched real products on float64 views.
+(the real frame blocks of the linear evolution module and its update rule
+`cn_update`, applied to the mean and all modes as one block, the mean's
+heat matrix being M+ at k = 0); the quadratic terms are explicit
+second-order Adams-Bashforth, dealiased by the 3/2 rule: the x-transforms
+to and from the padded physical grid are two small real matrices.  Each
+step is a handful of batched real products of half the order on float64
+views.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
-from .evolution import CrankNicolson, cn_update, dt_accuracy_bound
-from .grid import (border_dirichlet, from_real_frame, l2_norm, pair_view,
-                   quadrature, real_apply, to_real_frame)
-from .resolvent import frame_solve, recover_velocity
+from .evolution import CrankNicolson, cn_update, dt_accuracy_bound, m_plus_blocks
+from .grid import from_real_frame, l2_norm, pair_view, quadrature, to_real_frame
+from .resolvent import d1_frame_blocks, frame_d1, frame_solve
 
 BLOWUP_GUARD = 1e8
 
@@ -119,76 +118,99 @@ def _h2_norm_of_mode(phi_k, k, grid, ops):
 
 
 class SpectralLab:
-    """Workspace for the k = 1..k_max modes as one (k_max, N) block.
+    """Workspace for the mean flow and the k = 1..k_max modes as one
+    (k_max + 1, N) block in the real frame (row 0 the mean velocity, row k
+    mode k).
 
-    It keeps, stacked over the modes, the real-frame CN propagators with
-    their wall terms and the even and odd frame blocks of the elliptic
-    inverses (half the memory of node-space inverses); the mean flow's heat
-    inverse with its wall columns; and the two x-transform matrices of the
-    dealiased product rule (`x_transforms`).  A step is, in the real frame,
-    one batched real product per elliptic block, one d/dy product, two
-    small transform products and one batched CN product (`cn_update`).
+    It keeps, stacked over k = 0..k_max, the real frame blocks of the CN
+    matrices (`evolution.m_plus_blocks`: the odd block's inverse, the Schur
+    complement's inverse and the shear coupling) with their wall terms;
+    layer 0 is the mean's heat step, M+ at k = 0.  It keeps the even and
+    odd frame blocks of the elliptic inverses of the modes, the frame
+    blocks of d/dy shared by all rows (`resolvent.d1_frame_blocks`), and
+    the two x-transform matrices of the dealiased product rule
+    (`x_transforms`).  Every stack is of half the order.  A step is one
+    batched real product per elliptic block, the two d/dy blocks for u1
+    and the mean's vorticity, two small transform products, the two d/dy
+    blocks for d f2/dy, and three batched half-order products for CN
+    (`cn_update`).
     """
 
     def __init__(self, nu, k_max, grid, ops, dt):
         self.nu, self.k_max, self.dt = nu, k_max, dt
         self.grid, self.ops = grid, ops
         n = grid.n_points
-        ne = n - n // 2
+        h = n // 2
         self._ks = np.arange(1, k_max + 1)
-        self._propagators = np.empty((k_max, n, n))
-        self._wall_terms = (np.empty((k_max, n, 4)), np.empty((k_max, 4, n)))
-        self._elliptic = (np.empty((k_max, ne, ne)), np.empty((k_max, n - ne, n - ne)))
+        # CN stacks over k = 0..k_max: layer 0 is the mean flow's heat step,
+        # M+ at k = 0 (the bordered 1 - dt nu d2 / 2), whose two-column wall
+        # term is padded with zeros to the modes' four
+        self._cn_blocks = (np.empty((k_max + 1, h, h)),
+                           np.empty((k_max + 1, n - h, n - h)), np.empty((k_max + 1, h)))
+        self._wall_terms = (np.zeros((k_max + 1, n, 4)), np.zeros((k_max + 1, 4, n)))
+        heat_blocks, heat_wall_term, _ = m_plus_blocks(nu, 0, dt, grid, ops)
+        for stack, part in zip(self._cn_blocks, heat_blocks):
+            stack[0] = part
+        self._wall_terms[0][0, :, :2], self._wall_terms[1][0, :2] = heat_wall_term
+        self._elliptic = (np.empty((k_max, n - h, n - h)), np.empty((k_max, h, h)))
         for k in self._ks:
             cn = CrankNicolson(nu, k, "non_slip", dt, grid, ops)
-            self._propagators[k - 1] = cn.propagator
-            for stack, part in zip(self._wall_terms + self._elliptic,
-                                   cn.wall_term + cn.elliptic.frame_inverses):
+            for stack, part in zip(self._cn_blocks + self._wall_terms,
+                                   cn.blocks + cn.wall_term):
+                stack[k] = part
+            for stack, part in zip(self._elliptic, cn.elliptic.frame_inverses):
                 stack[k - 1] = part
-        # the mean flow's heat step by the same rule: the inverse of the
-        # bordered 1 - dt nu d2 / 2 with its wall columns zeroed, and those
-        # columns against the wall rows
-        walls = [0, n - 1]
-        heat_inverse = sla.inv(border_dirichlet(np.eye(n) - 0.5 * dt * nu * ops.d2))
-        self._heat_wall_term = (heat_inverse[:, walls], np.eye(n)[walls])
-        heat_inverse[:, walls] = 0.0
-        self._heat_inverse = heat_inverse
+        self._d1 = d1_frame_blocks(ops)
         self.m_pad = pad_modes(k_max)
         self._synthesis, self._analysis = x_transforms(k_max, self.m_pad)
-        # (state, its velocities, blocks, frame of the vorticity block)
+        # (state, its velocities, blocks, frame of the mean and the modes)
         self._evaluated = (None, None, None, None)
+
+    def _d1_rows(self, z):
+        """Q^H d1 Q applied to each row of the complex (m, N) frame block z."""
+        cols = np.ascontiguousarray(z.T)
+        return frame_d1(self._d1, cols.view(np.float64)).view(complex).T
 
     def velocities(self, state):
         """Per-mode velocity arrays for k = 0..k_max (k = 0 is the mean).
 
-        The elliptic solves of all modes are one batched real product per
-        frame block and their d/dy one real product.  The result for the
-        last state object asked about is kept, with its blocks (`blocks`),
-        so a sampled step's energy and the next step's right-hand side
-        share one evaluation; states are not modified once built."""
+        The mean and the modes go to the frame as one block; the elliptic
+        solves of all modes are one batched real product per frame block;
+        d/dy of the mean velocity and of phi is one product per d/dy frame
+        block, and phi and u1 go back to nodes together.  The result for
+        the last state object asked about is kept, with its blocks
+        (`blocks`), so a sampled step's energy and the next step's
+        right-hand side share one evaluation; states are not modified once
+        built."""
         if self._evaluated[0] is not state:
-            w = np.array([state.modes[k] for k in self._ks], dtype=complex)
-            if not np.isfinite(w[:, 1:-1]).all():
+            km = self.k_max
+            w = np.array([state.mean_shear] + [state.modes[k] for k in self._ks],
+                         dtype=complex)
+            if not np.isfinite(w[1:, 1:-1]).all():
                 raise ValueError("non-finite vorticity in the elliptic solves")
             z = to_real_frame(w)
-            phi = frame_solve(self._elliptic, pair_view(z))
-            phi = from_real_frame(phi.view(complex)[..., 0])
-            u1, u2 = recover_velocity(phi.T, self._ks, self.ops)
-            u1, u2 = u1.T, u2.T
+            # rows: the mean velocity, then phi of each mode
+            phi = z.copy()
+            phi[1:] = frame_solve(self._elliptic, pair_view(z[1:])).view(complex)[..., 0]
+            # rows: phi of each mode, the mean's vorticity, u1 of each mode
+            nodes = from_real_frame(np.vstack([phi[1:], self._d1_rows(phi)]))
+            u1, u2 = nodes[km + 1:], -1j * self._ks[:, None] * nodes[:km]
             out = {0: (state.mean_shear.astype(complex),
                        np.zeros_like(state.mean_shear, dtype=complex))}
             out.update({k: (u1[k - 1], u2[k - 1]) for k in self._ks})
-            self._evaluated = (state, out, (w, u1, u2), z)
+            self._evaluated = (state, out, (w[1:], u1, u2, nodes[km].real), z)
         return self._evaluated[1]
 
     def blocks(self, state):
-        """(w, u1, u2) of modes 1..k_max as (k_max, N) blocks (row k - 1 is
-        mode k), from the evaluation `velocities` keeps."""
+        """(w, u1, u2, mean vorticity) of modes 1..k_max: (k_max, N) blocks
+        (row k - 1 is mode k) and the mean's d ubar/dy, from the evaluation
+        `velocities` keeps."""
         self.velocities(state)
         return self._evaluated[2]
 
     def _frame(self, state):
-        """Q^H w of the mode block, from the kept evaluation."""
+        """Q^H of the mean velocity (row 0) and of the mode block, from the
+        kept evaluation."""
         self.velocities(state)
         return self._evaluated[3]
 
@@ -202,10 +224,10 @@ class SpectralLab:
         pointwise products.
         """
         km, n = self.k_max, self.grid.n_points
-        w, u1, u2 = self.blocks(state)
+        w, u1, u2, wbar = self.blocks(state)
         coef = np.zeros((2, km + 1, 3, n))          # (Re/Im, mode, field, node)
         coef[0, 0, 0] = state.mean_shear
-        coef[0, 0, 2] = self.ops.d1 @ state.mean_shear
+        coef[0, 0, 2] = wbar
         for j, field in enumerate((u1, u2, w)):
             coef[0, 1:, j], coef[1, 1:, j] = field.real, field.imag
         pu1, pu2, pw = (self._synthesis @ coef.reshape(2 * (km + 1), 3 * n)
@@ -216,13 +238,14 @@ class SpectralLab:
         return f[:, 0], f[:, 1]
 
     def rhs_vectors(self, state):
-        """Nodal right-hand sides as a (k_max + 1, N) array: row k >= 1 is
-        -ik f1_k - d f2_k/dy, row 0 the mean forcing -f2_0; returned with
-        that row."""
-        f1, f2 = self.nonlinear_rhs(state)
+        """Right-hand sides in the real frame, Q^H of each row, as a
+        (k_max + 1, N) array: row k >= 1 is -ik f1_k - d f2_k/dy (d/dy by
+        its frame blocks), row 0 the mean forcing -f2_0; returned with that
+        row."""
+        f1, f2 = (to_real_frame(f) for f in self.nonlinear_rhs(state))
         rhs = np.empty_like(f1)
         rhs[0] = -f2[0]
-        rhs[1:] = -1j * self._ks[:, None] * f1[1:] - real_apply(self.ops.d1, f2[1:].T).T
+        rhs[1:] = -1j * self._ks[:, None] * f1[1:] - self._d1_rows(f2[1:])
         return rhs, rhs[0]
 
     def advance(self, state, rhs_prev=None):
@@ -230,11 +253,12 @@ class SpectralLab:
         rhs, mean_rhs = self.rhs_vectors(state)
         explicit = rhs if rhs_prev is None else 1.5 * rhs - 0.5 * rhs_prev[0]
         z = pair_view(self._frame(state))
-        x = pair_view(to_real_frame(self.dt * explicit[1:]))
+        x = pair_view(self.dt * explicit)
         if not (np.isfinite(z).all() and np.isfinite(x).all()):
             raise ValueError("non-finite CN right-hand side in the mode block")
-        w_new = from_real_frame(
-            cn_update(self._propagators, self._wall_terms, z, x).view(complex)[..., 0])
+        out = from_real_frame(
+            cn_update(self._cn_blocks, self._wall_terms, z, x).view(complex)[..., 0])
+        w_new = out[1:]
         over = ~(np.abs(w_new).max(axis=1) <= BLOWUP_GUARD)
         if over.any():
             raise BlowupError(f"mode {int(np.argmax(over)) + 1} exceeded the blow-up guard")
@@ -242,8 +266,7 @@ class SpectralLab:
         modes = {0: np.zeros(self.grid.n_points, dtype=complex)}
         for k in self._ks:
             modes[k], modes[-k] = w_new[k - 1], conj[k - 1]
-        mean = cn_update(self._heat_inverse, self._heat_wall_term, state.mean_shear,
-                         self.dt * explicit[0].real)
+        mean = out[0].real.copy()
         new = PerturbationState(modes=modes, mean_shear=mean, time=state.time + self.dt)
         return new, (rhs, mean_rhs)
 
@@ -269,7 +292,7 @@ class EnergyAccumulator:
     def take(self, lab, state):
         g = self.grid
         t = state.time
-        w, u1, u2 = lab.blocks(state)
+        w, u1, u2, wbar = lab.blocks(state)
         umod2 = np.abs(u1) ** 2 + np.abs(u2) ** 2
         w2 = np.abs(w) ** 2
         self.sup_bw[1:] = np.maximum(self.sup_bw[1:],
@@ -277,7 +300,7 @@ class EnergyAccumulator:
         self.sup_uinf[1:] = np.maximum(self.sup_uinf[1:], np.sqrt(umod2.max(axis=1)))
         cur_u2 = np.abs(umod2 @ g.quad_weights)
         cur_w2 = np.abs(w2 @ g.quad_weights)
-        self.sup_mean = max(self.sup_mean, l2_norm(g, self.ops.d1 @ state.mean_shear))
+        self.sup_mean = max(self.sup_mean, l2_norm(g, wbar))
         if self._prev is not None:
             t0, pu, pw = self._prev
             h = 0.5 * (t - t0)

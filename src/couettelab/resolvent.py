@@ -33,7 +33,7 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .airy import airy_scaled
 from .grid import (border_dirichlet, from_real_frame, real_apply,
-                   to_real_frame, wall_moment_rows)
+                   reflection_blocks, to_real_frame, wall_moment_rows)
 from .scaled import Scaled, scaled_quadrature
 
 #: Largest admissible contour shift; the harness verifies C * EPSILON_MAX <= 1/2
@@ -171,7 +171,7 @@ class EllipticSolver:
     the node reversal, so in the frame of `grid.to_real_frame` it is block
     diagonal: an even block of the reflection sums and the middle node
     (size N - N//2) and an odd block of the differences (size N//2).
-    Set-up builds the two blocks by O(N^2) real slicing of A and refuses
+    Set-up builds the two blocks with `grid.reflection_blocks` and refuses
     an A whose dropped part, the off-diagonal frame blocks ||A - J A J||
     relative to the kept ||A + J A J|| (Frobenius), exceeds
     FRAME_RESIDUE_MAX.  Each block is inverted by LU (`lu_factor`, then
@@ -191,28 +191,16 @@ class EllipticSolver:
 
     def __init__(self, grid, ops, k):
         n = grid.n_points
-        h = n // 2
         a = border_dirichlet(ops.d2 - k**2 * np.eye(n))
-        ja = a[::-1, ::-1]
-        residue = np.linalg.norm(a - ja) / np.linalg.norm(a + ja)
+        blocks, kept, dropped = reflection_blocks(a)
+        residue = dropped / kept
         self.reflection_residue = float(residue)
         if not residue <= FRAME_RESIDUE_MAX:
             raise RuntimeError(
                 f"elliptic operator is not reflection symmetric at k = {k}, "
                 f"N = {n}: relative off-diagonal residue of its frame blocks "
                 f"{residue:.3g} > {FRAME_RESIDUE_MAX:g}")
-        # the reflection average S = (A + J A J)/2 in the basis
-        # (e_i +- e_{n-1-i})/sqrt 2, i < h, plus e_h for odd n: S11 +- S12 J
-        # on the pairs, sqrt 2 times the middle row and column
-        s = 0.5 * (a + ja)
-        s11, s12j = s[:h, :h], s[:h, ::-1][:, :h]
-        even = np.empty((n - h, n - h))
-        even[:h, :h] = s11 + s12j
-        if n % 2:
-            even[:h, h] = math.sqrt(2.0) * s[:h, h]
-            even[h, :h] = math.sqrt(2.0) * s[h, :h]
-            even[h, h] = s[h, h]
-        self.frame_inverses = tuple(_lu_inverse(b) for b in (even, s11 - s12j))
+        self.frame_inverses = tuple(_lu_inverse(b) for b in blocks)
 
     def solve(self, w):
         """phi for w, an (N,) vector or an (N, m) block of columns."""
@@ -242,6 +230,36 @@ def frame_solve(frame_inverses, z):
     out = np.empty(even.shape[:-2] + z.shape[-2:])
     np.matmul(even, z[..., :ne, :], out=out[..., :ne, :])
     np.matmul(odd, z[..., ne:, :], out=out[..., ne:, :])
+    return out
+
+
+def d1_frame_blocks(ops):
+    """(eo, oe) with Q^H d1 Q = [[0, i eo], [-i oe, 0]] in the frame of
+    `grid.to_real_frame`: d/dy is anti-centrosymmetric, J d1 J = -d1, so
+    its frame form couples the even and odd halves only.  Refuses a d1
+    whose dropped diagonal frame blocks, its centrosymmetric part relative
+    to the kept one (Frobenius), exceed FRAME_RESIDUE_MAX."""
+    blocks, kept, dropped = reflection_blocks(ops.d1, parity=-1)
+    residue = dropped / kept
+    if not residue <= FRAME_RESIDUE_MAX:
+        raise RuntimeError(
+            f"d/dy is not reflection antisymmetric at N = {len(ops.d1)}: "
+            f"relative residue of its dropped diagonal frame blocks "
+            f"{residue:.3g} > {FRAME_RESIDUE_MAX:g}")
+    return blocks
+
+
+def frame_d1(d1_blocks, z):
+    """Q^H d1 Q z for z the float64 view (N, 2m) of an (N, m) complex block
+    of frame columns (`d1_frame_blocks`): one real product per block, and
+    the factors i and -i on the complex views.  Returns the same layout."""
+    eo, oe = d1_blocks
+    ne = eo.shape[0]
+    out = np.empty_like(z)
+    np.matmul(eo, z[ne:], out=out[:ne])
+    np.matmul(oe, z[:ne], out=out[ne:])
+    out[:ne].view(complex)[...] *= 1j
+    out[ne:].view(complex)[...] *= -1j
     return out
 
 
@@ -336,14 +354,10 @@ class HessenbergResolvent:
         x = a.real[inner, inner]
         x *= self.sq[:, None]
         x /= self.sq[None, :]
-        # relative imaginary part (Frobenius) of the complex real form
-        # Q^H (X + i diag(shear)) Q, from the parts that break the reflection
-        anti, sym = (np.linalg.norm(shear + shear[::-1]) ** 2,
-                     np.linalg.norm(shear - shear[::-1]) ** 2)
-        for rows in (slice(0, h), slice(h, m)):
-            anti += np.linalg.norm(x[rows] - x[::-1, ::-1][rows]) ** 2
-            sym += np.linalg.norm(x[rows] + x[::-1, ::-1][rows]) ** 2
-        residue = math.sqrt(anti / sym)
+        # Q^H (X + i diag(shear)) Q: the even and odd blocks of X, and
+        # -+ the odd part of the shear on the cross diagonals
+        (even, odd, y), kept, dropped = reflection_blocks(x, shear=shear)
+        residue = dropped / kept
         self.reflection_residue = residue
         if not residue <= FRAME_RESIDUE_MAX:
             raise RuntimeError(
@@ -351,25 +365,13 @@ class HessenbergResolvent:
                 f"{case.nu:g}, k = {case.k}, N = {n}: relative imaginary "
                 f"residue of its real form {residue:.3g} > "
                 f"{FRAME_RESIDUE_MAX:g}")
-        # Re Q^H X Q: X11 + X12 J (even) and X11 - X12 J (odd), each from
-        # the reflection average of X, which is what Q^H X Q keeps
-        top, bot = slice(0, h), slice(m - h, m)
-        x11 = 0.5 * (x[top, top] + x[bot, bot][::-1, ::-1])
-        x12j = 0.5 * (x[top, bot][:, ::-1] + x[bot, top][::-1])
         mr = np.zeros((m, m), order="F")      # reduced in place, no copy
-        mr[top, top] = x11 + x12j
-        mr[bot, bot] = x11 - x12j
-        if m % 2:
-            mr[top, h] = math.sqrt(0.5) * (x[top, h] + x[bot, h][::-1])
-            mr[h, top] = math.sqrt(0.5) * (x[h, top] + x[h, bot][::-1])
-            mr[h, h] = x[h, h]
-        # Q^H (i diag(shear)) Q: -+ the odd part of the shear on the cross
-        # diagonals
-        odd = 0.5 * (shear[top] - shear[bot][::-1])
+        mr[:m - h, :m - h] = even
+        mr[m - h:, m - h:] = odd
         cross = np.arange(h)
-        mr[cross, cross + m - h] = -odd
-        mr[cross + m - h, cross] = odd
-        del a, x, x11, x12j
+        mr[cross, cross + m - h] = -y
+        mr[cross + m - h, cross] = y
+        del a, x, even, odd
         # LAPACK band storage with kl = 1, ku = m - 1: H[i, j] in row
         # m + i - j of column j; row 0 is zgbtrf's fill-in row
         self._band = np.zeros((m + 2, m), order="F")

@@ -184,6 +184,41 @@ def test_reflection_symmetry_guard():
         E.CrankNicolson(1e-3, 1, "navier_slip", 0.05, g, bad)
 
 
+@pytest.mark.parametrize("order", [160, 161])          # odd and even n_points
+@pytest.mark.parametrize("bc", ["navier_slip", "non_slip"])
+def test_stacked_schur_solve_matches_dense_bordered_solve(bc, order):
+    # S = (1 - left right) S0 with S0 = schur_solve on the stacked frame
+    # blocks of k = 1..3, against np.linalg.solve of each mode's dense complex
+    # M+ bordered by w = 0 or by the moment rows, at zero wall data (measured
+    # within 1.2e-14)
+    nu, ks = 1e-3, (1, 2, 3)
+    g = build_grid(order)
+    ops = build_diff_ops(g)
+    n, y, q = g.n_points, g.nodes, g.quad_weights
+    dt = E.dt_accuracy_bound(nu, max(ks))
+    steppers = [E.CrankNicolson(nu, k, bc, dt, g, ops) for k in ks]
+    blocks = tuple(np.stack(parts) for parts in zip(*(s.blocks for s in steppers)))
+    left, right = (np.stack(parts) for parts in zip(*(s.wall_term for s in steppers)))
+    assert [b.shape for b in blocks] == [(3, n // 2, n // 2), (3, n - n // 2, n - n // 2),
+                                         (3, n // 2)]
+    rng = np.random.default_rng(8)
+    r = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    v = E.schur_solve(blocks, E.pair_view(E.to_real_frame(r)))
+    v -= np.matmul(left, np.matmul(right, v))
+    got = E.from_real_frame(np.ascontiguousarray(v).view(complex)[..., 0])
+    for j, k in enumerate(ks):
+        m_plus = np.eye(n) + 0.5 * dt * (nu * (k**2 * np.eye(n) - ops.d2)
+                                         + 1j * k * np.diag(y))
+        if bc == "navier_slip":
+            m_plus[[0, -1]] = np.eye(n)[[0, -1]]
+        else:
+            m_plus[[0, -1]] = np.vstack([q * np.exp(k * y), q * np.exp(-k * y)])
+        rhs = r[j].copy()
+        rhs[[0, -1]] = 0.0
+        ref = np.linalg.solve(m_plus, rhs)
+        assert np.linalg.norm(got[j] - ref) <= 1e-12 * np.linalg.norm(ref), k
+
+
 @pytest.mark.parametrize("bc", ["navier_slip", "non_slip"])
 def test_advance_matches_steps(bc):
     nu, k = 1e-3, 2

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from couettelab.grid import (N_MAX, build_diff_ops, build_grid, cheb_nodes,
                              default_order, l2_norm, quadrature, real_apply,
+                             real_form, reflection_blocks,
                              wall_moment_residuals, weighted_l2_norm)
 
 from oracles import exp_quadrature_exact
@@ -131,3 +132,34 @@ def test_wall_moment_residuals_match_quadrature_formula(k):
     got = wall_moment_residuals(g, w, k)
     assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
     assert np.array_equal(wall_moment_residuals(g, np.zeros(97), k), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("n", [9, 10])                # odd and even n
+def test_reflection_blocks_match_real_form(n):
+    # the splitter against the dense complex Q^H M Q of grid.real_form, for
+    # a centrosymmetric part with a shear diagonal and an anti-centrosymmetric
+    # part, each with a small reflection-breaking residue
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal((n, n))
+    sym, anti = b + b[::-1, ::-1], b - b[::-1, ::-1]
+    s = rng.standard_normal(n)
+    shear = s - s[::-1]
+    ne, h = n - n // 2, n // 2
+    for parity, a in ((1, sym), (-1, anti)):
+        noise = 1e-9 * rng.standard_normal((n, n))
+        blocks, kept, dropped = reflection_blocks(
+            a + noise, parity, shear=shear + 1e-9 if parity > 0 else None)
+        rf = real_form(a + noise + (1j * np.diag(shear + 1e-9) if parity > 0 else 0))
+        keep, drop = (rf.real, rf.imag) if parity > 0 else (rf.imag, rf.real)
+        assert abs(kept / np.linalg.norm(keep) - 1) <= 1e-13
+        assert abs(dropped / np.linalg.norm(drop) - 1) <= 1e-6
+        if parity > 0:
+            even, odd, y = blocks
+            assert np.abs(keep[:ne, :ne] - even).max() <= 1e-14 * np.abs(even).max()
+            assert np.abs(keep[ne:, ne:] - odd).max() <= 1e-14 * np.abs(odd).max()
+            assert np.abs(keep[:h, ne:] + np.diag(y)).max() <= 1e-14 * np.abs(y).max()
+            assert np.abs(keep[ne:, :h] - np.diag(y)).max() <= 1e-14 * np.abs(y).max()
+        else:
+            eo, oe = blocks
+            assert np.abs(keep[:ne, ne:] - eo).max() <= 1e-14 * np.abs(eo).max()
+            assert np.abs(keep[ne:, :ne] + oe).max() <= 1e-14 * np.abs(oe).max()

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from couettelab.grid import (build_diff_ops, build_grid, default_order, l2_norm,
-                             quadrature, wall_moment_residuals)
+from couettelab.grid import (build_diff_ops, build_grid, default_order,
+                             from_real_frame, l2_norm, quadrature,
+                             wall_moment_residuals)
 from couettelab import evolution as E
 from couettelab import nonlinear as NL
 
@@ -286,6 +287,7 @@ def test_momentum_flux_consistency(setup):
     st = multi_mode_state(g, ops, 4)
     lab = NL.SpectralLab(nu, 4, g, ops, NL.dt_accuracy_bound(nu, 4))
     rhs, mean_rhs = lab.rhs_vectors(st)
+    mean_rhs = from_real_frame(mean_rhs)        # rows come in the real frame
     wbar = ops.d1 @ st.mean_shear
     # d/dt int wbar = nu [wbar'] - [f2_0]; and int wbar = 0 by Dirichlet walls
     f20 = -mean_rhs
@@ -301,6 +303,7 @@ def test_nonlinear_energy_flux_cancellation(setup):
     st = multi_mode_state(g, ops, 4)
     lab = NL.SpectralLab(nu, 4, g, ops, NL.dt_accuracy_bound(nu, 4))
     rhs, mean_rhs = lab.rhs_vectors(st)
+    rhs, mean_rhs = from_real_frame(rhs), from_real_frame(mean_rhs)   # rows in the frame
     wbar = ops.d1 @ st.mean_shear
     q = g.quad_weights
     tot = sum(2 * np.real(np.sum(q * rhs[k] * np.conj(st.modes[k])))

@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg as sla
 
 from couettelab.grid import (build_diff_ops, build_grid, default_order,
-                             l2_norm, quadrature, wall_moment_residuals)
+                             from_real_frame, l2_norm, quadrature,
+                             to_real_frame, wall_moment_residuals)
 from couettelab import resolvent as R
 
 from oracles import c1_sinh_closed_form
@@ -199,6 +200,35 @@ def test_elliptic_solver_reflection_guard(setup64):
                        rf"off-diagonal residue of its frame blocks"):
         R.EllipticSolver(g, bad, 2)
     assert R.EllipticSolver(g, ops, 2).reflection_residue <= 1e-14
+
+
+@pytest.mark.parametrize("order", [64, 65])          # odd and even n_points
+def test_d1_frame_blocks_match_dense_d1(order):
+    # Q^H d1 Q by its two off-diagonal frame blocks, on an (m, N) block of rows
+    g = build_grid(order)
+    ops = build_diff_ops(g)
+    n = g.n_points
+    blocks = R.d1_frame_blocks(ops)
+    assert [b.shape for b in blocks] == [(n - n // 2, n // 2), (n // 2, n - n // 2)]
+    rng = np.random.default_rng(6)
+    w = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    w[0] = np.exp(1j * g.nodes) * (1 - g.nodes**2) ** 2
+    cols = np.ascontiguousarray(to_real_frame(w).T)
+    got = from_real_frame(R.frame_d1(blocks, cols.view(np.float64)).view(complex).T)
+    ref = ops.d1 @ w.T
+    # measured up to 5.5e-14 (random rows at order 65): rounding of the sums
+    for j in range(3):
+        assert np.abs(got[j] - ref[:, j]).max() <= 5e-13 * np.abs(ref[:, j]).max(), j
+
+
+def test_d1_frame_guard_names_its_quantity(setup64):
+    g, ops = setup64
+    d1 = ops.d1.copy()
+    d1[1, 2] += 1e-6 * np.abs(d1).max()       # breaks J d1 J = -d1
+    with pytest.raises(RuntimeError, match=rf"d/dy is not reflection antisymmetric "
+                       rf"at N = {g.n_points}: relative residue of its dropped "
+                       rf"diagonal frame blocks"):
+        R.d1_frame_blocks(replace(ops, d1=d1))
 
 
 def _refined_elliptic_solve(g, ops, k, w, sweeps=6):
