@@ -3,29 +3,30 @@
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR \\
         --workload NAME --seeds 4401-4410 --out BENCH_x.json \\
-        [--seconds 38] [--parent-label TEXT] [--change-label TEXT] \\
-        [--protocol TEXT] [--other NOTE] [--trace-seed N]
+        [--parent-label TEXT] [--change-label TEXT] [--protocol TEXT] \\
+        [--other NOTE] [--trace-seed N [--trace-note TEXT]]
 
 For each seed, `perfbench/run.py --workload NAME --seed SEED --seconds S
 --trace 0` runs once in each checkout (one process per run, from the
-checkout's root), and the two alternate which runs first: the parent at
+checkout's root), with S the run_seconds of the changed checkout's
+BENCHMARK.json, and the two alternate which runs first: the parent at
 the first seed, the change at the second, and so on.  The record holds
 every pair and, per end-to-end metric of BENCHMARK.json, the parent's and
 the change's quartiles [q1, median, q3] (inclusive method), the pairs in
 which the change reads lower, and the median change relative to the
-parent's median.
+parent's median.  Its "machine" is what run.py wrote for the changed
+checkout's last run (perfbench/results/), BLAS thread count included.
 
 Without --other the workload is the record's own (a new file, or the top
 level of an existing one is replaced); with --other NOTE its summary and
 pairs go under "other_workloads" of the existing --out file, with NOTE.
 --trace-seed N adds one traced run per checkout (`--trace 1`, 5 seconds)
-as "per_layer".  No metric is computed here beyond those statistics.
+as "per_layer", with --trace-note as its note.  No metric is computed here beyond those statistics.
 """
 
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -37,13 +38,13 @@ def parse_args(argv):
     p.add_argument("--change", required=True, help="root of the changed checkout")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, help="first-last, inclusive")
-    p.add_argument("--seconds", type=float, default=38.0)
     p.add_argument("--out", required=True)
     p.add_argument("--parent-label", default="parent")
     p.add_argument("--change-label", default="change")
     p.add_argument("--protocol", default="")
     p.add_argument("--other", default=None)
     p.add_argument("--trace-seed", type=int, default=None)
+    p.add_argument("--trace-note", default="one traced run per checkout")
     args = p.parse_args(argv)
     first, _, last = args.seeds.partition("-")
     args.seeds = list(range(int(first), int(last or first) + 1))
@@ -88,12 +89,13 @@ def summarize(pairs, metrics):
     return summary
 
 
-def machine():
-    import numpy
-    import scipy
-    return {"nproc": os.cpu_count(), "python": platform.python_version(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__,
-            "blas_threads": 1}
+def machine(tree, workload, seed):
+    """The machine block run.py wrote for its run of `workload` at `seed`
+    in `tree`."""
+    path = os.path.join(tree, "perfbench", "results",
+                        f"{workload}-seed{seed}-trace0.json")
+    with open(path) as fh:
+        return json.load(fh)["machine"]
 
 
 def main(argv=None):
@@ -101,14 +103,16 @@ def main(argv=None):
     trees = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
-        metrics = [m["name"] for m in json.load(fh)["end_to_end"]]
+        spec = json.load(fh)
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    seconds = spec["run_seconds"]
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             pair[side] = flat(run_once(trees[side], args.workload, seed,
-                                       args.seconds, 0))
+                                       seconds, 0))
         pairs.append({k: pair[k] for k in ("seed", "first", "parent", "change")})
         print(f"seed {seed}: run_s parent {pair['parent']['run_s']:.4f} "
               f"change {pair['change']['run_s']:.4f}", file=sys.stderr)
@@ -124,16 +128,18 @@ def main(argv=None):
         others[args.workload] = block
     else:
         command = (f"python3 perfbench/run.py --workload {args.workload} "
-                   f"--seed SEED --seconds {args.seconds:g} --trace 0")
+                   f"--seed SEED --seconds {seconds:g} --trace 0")
         record.update({"workload": args.workload, "command": command,
                        "protocol": args.protocol, "parent": args.parent_label,
-                       "change": args.change_label, "machine": machine()})
+                       "change": args.change_label,
+                       "machine": machine(trees["change"], args.workload,
+                                          args.seeds[-1])})
         record.update(block)
     if args.trace_seed is not None:
         record["per_layer"] = {
             "command": (f"python3 perfbench/run.py --workload {args.workload} "
                         f"--seed {args.trace_seed} --seconds 5 --trace 1"),
-            "note": "one traced run per checkout",
+            "note": args.trace_note,
             **{side: {n: round(m["value"], 4) for n, m in run_once(
                 tree, args.workload, args.trace_seed, 5, 1)["metrics"].items()}
                for side, tree in trees.items()}}

@@ -154,11 +154,12 @@ class CrankNicolson:
     float64 view and O(N) wall terms; no d2 product, no LU and no N x N
     matrix is kept.  An unforced step with zero targets is z' = P z on the
     frame vector z = Q^H w, with the real P = S M- (`step_matrix`) built
-    on first use from the dense S (`propagator`, assembled from the
+    on first use from the dense S (`dense_propagator`, assembled from the
     blocks); `apply_steps` applies P^j without leaving the frame.
     `apply_m_minus` forms M- w in nodes, with the complex diagonal
     `m_minus_diag` and the real `m_minus_d2` times d2, for residuals and
-    references.  The elliptic solver of the ledger is built on first use.
+    references.  The elliptic solver of the ledger and the frame blocks of
+    d/dy are built on first use.
     """
 
     def __init__(self, nu, k, bc, dt, grid, ops):
@@ -193,11 +194,16 @@ class CrankNicolson:
         """The `EllipticSolver` at k, for the ledger's velocities."""
         return EllipticSolver(self.grid, self.ops, self.k)
 
-    @property
-    def propagator(self):
+    @cached_property
+    def d1_blocks(self):
+        """The frame blocks of d/dy (`resolvent.d1_frame_blocks`), for the
+        ledger's u1 and the lab's d/dy products."""
+        return d1_frame_blocks(self.ops)
+
+    def dense_propagator(self):
         """The dense real S = (1 - left right) M+^-1 in the frame, assembled
-        from the blocks (`schur_solve` on the identity) on each read; only
-        `step_matrix` needs it, once."""
+        from the blocks (`schur_solve` on the identity), O(N^3) on each call;
+        only `step_matrix` needs it, once."""
         s = schur_solve(self.blocks, np.eye(self.grid.n_points))
         left, right = self.wall_term
         s -= left @ (right @ s)
@@ -212,7 +218,7 @@ class CrankNicolson:
         1 - (wall columns of the bordered M+^-1) under vorticity Dirichlet.
         So P = 2S - 1 + that term: O(N^2) work, with no product S d2.
         """
-        p = 2.0 * self.propagator
+        p = 2.0 * self.dense_propagator()
         p[np.diag_indices_from(p)] -= 1.0
         left, right = self.wall_term
         p += left @ right
@@ -319,7 +325,6 @@ class _Accumulator:
         # wall-distance; the first also to |u|^2
         self._w_rows = frame_weights(
             np.vstack([q, rho * q, (1.0 - np.abs(grid.nodes)) * q]))
-        self._d1 = d1_frame_blocks(ops)
         self._led = SpaceTimeLedger()
         self._led.data_l2 = l2_norm(grid, case.omega0)
         self._led.data_dy_l2 = l2_norm(grid, real_apply(ops.d1, case.omega0))
@@ -356,7 +361,7 @@ class _Accumulator:
             raise ValueError(
                 f"non-finite vorticity in the CN advance at k = {self.case.k}")
         phi = frame_solve(self.stepper.elliptic.frame_inverses, z.view(np.float64))
-        u1 = frame_d1(self._d1, phi)
+        u1 = frame_d1(self.stepper.d1_blocks, phi)
         phi, u1 = phi.view(complex), u1.view(complex)
         w_sums = np.abs(self._w_rows @ (np.abs(z) ** 2))        # (3, m)
         u_sums = np.abs(self._w_rows[0] @ (np.abs(u1) ** 2 + k2 * np.abs(phi) ** 2))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .evolution import CrankNicolson, cn_update, dt_accuracy_bound, m_plus_blocks
 from .grid import from_real_frame, l2_norm, pair_view, quadrature, to_real_frame
-from .resolvent import d1_frame_blocks, frame_d1, frame_solve
+from .resolvent import frame_d1, frame_solve
 
 BLOWUP_GUARD = 1e8
 
@@ -127,7 +127,7 @@ class SpectralLab:
     complement's inverse and the shear coupling) with their wall terms;
     layer 0 is the mean's heat step, M+ at k = 0.  It keeps the even and
     odd frame blocks of the elliptic inverses of the modes, the frame
-    blocks of d/dy shared by all rows (`resolvent.d1_frame_blocks`), and
+    blocks of d/dy shared by all rows (`CrankNicolson.d1_blocks`), and
     the two x-transform matrices of the dealiased product rule
     (`x_transforms`).  Every stack is of half the order.  A step is one
     batched real product per elliptic block, the two d/dy blocks for u1
@@ -160,7 +160,7 @@ class SpectralLab:
                 stack[k] = part
             for stack, part in zip(self._elliptic, cn.elliptic.frame_inverses):
                 stack[k - 1] = part
-        self._d1 = d1_frame_blocks(ops)
+        self._d1 = cn.d1_blocks                         # d/dy, shared by every row
         self.m_pad = pad_modes(k_max)
         self._synthesis, self._analysis = x_transforms(k_max, self.m_pad)
         # (state, its velocities, blocks, frame of the mean and the modes)
