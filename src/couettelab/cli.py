@@ -58,7 +58,7 @@ def cmd_airy(args):
             id=f"airy_{i:04d}",
             params={"re_z": float(x), "im_z": a["delta"]},
             results={"ai_re": b.ai.real, "ai_im": b.ai.imag,
-                     "ai_exp10": b.exp10, "method": b.method,
+                     "ai_exp10": b.exp10,
                      "a0_re": v.a0.real, "a0_im": v.a0.imag,
                      "a0_exp10": v.exp10}))
     sup = log_derivative_sup(a["delta"])

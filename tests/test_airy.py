@@ -1,9 +1,13 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from couettelab import airy as A
 
@@ -14,7 +18,6 @@ E16 = cmath.exp(1j * math.pi / 6)
 
 def test_frozen_values_at_zero():
     b = A.airy(0)
-    assert b.method == "maclaurin"
     assert abs(b.ai - 0.35502805388781724) < 1e-16
     assert abs(b.ai_prime - (-0.25881940379280680)) < 1e-16
 
@@ -44,6 +47,7 @@ def test_real_axis_positive_decreasing():
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-20, 20), st.floats(-20, 20))
+@example(x=-2.0, y=0.0)   # conjugate is -2 - 0j: the signed zero on the cut
 def test_conjugation_symmetry(x, y):
     z = complex(x, y)
     b1 = A.airy(z)
@@ -123,68 +127,59 @@ def test_rotated_solution_solves_shear_ode():
         assert abs(resid) <= 1e-5 * (1 + abs(f(y)) * abs(y)) + 1e-6
 
 
-def test_method_overlap_consistency():
-    rng = np.random.default_rng(9)
-    rs = rng.uniform(A.ASYM_MIN + 0.2, A.MACLAURIN_MAX - 0.1, 40)
-    ths = rng.uniform(-np.pi, np.pi, 40)
-    for z in rs * np.exp(1j * ths):
-        bm = A.airy(complex(z), method="maclaurin")
-        ba = A.airy(complex(z), method="asymptotic")
-        assert abs(bm.ai - ba.ai * 10.0 ** (ba.exp10 - bm.exp10)) \
-            <= 1e-9 * abs(bm.ai)
-
-
-def test_method_band_guards():
-    with pytest.raises(ValueError):
-        A.airy(12.0, method="maclaurin")
-    with pytest.raises(ValueError):
-        A.airy(1.0, method="asymptotic")
-
-
-def _ascending_points(n, seed):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(0.0, A.R_SWITCH, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-
-
-def _bits(x):
-    return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.uint64)
-
-
-def test_maclaurin_ai_same_bits_with_and_without_prime():
-    # the f' and g' series ride along in the same arrays; they must not
-    # change Ai or the number of terms summed
-    z = _ascending_points(200, 5)
-    ai_p, aip = A._maclaurin_dd(z, True)
-    ai, none = A._maclaurin_dd(z, False)
-    assert none is None and aip.shape == z.shape
-    assert np.array_equal(_bits(ai_p), _bits(ai))
-
-
-@pytest.mark.parametrize("need_prime", [True, False])
-def test_maclaurin_small_point_same_bits_alone_and_in_batch(need_prime):
-    # a batch reaching |z| = R_SWITCH sums more terms than a small point
-    # needs; the extra terms must leave the small point's bits alone
-    small = np.array([0.3 + 0.1j, -0.7j, 1.2 * E16, 2.5 - 1.0j])
-    batch = np.concatenate([_ascending_points(60, 6), small,
-                            [A.R_SWITCH * np.exp(2.5j)]])
-    together = A._maclaurin_dd(batch, need_prime)
-    for j, z in enumerate(small):
-        alone = A._maclaurin_dd(np.array([z]), need_prime)
-        for a, b in zip(alone, together):
-            if a is not None:
-                assert np.array_equal(_bits(a[0]), _bits(b[60 + j]))
-
-
 def test_overflow_guard_scaled_representation():
     b = A.airy(-160.0 + 80.0j)  # |zeta| ~ 1900: far outside float range
     assert b.exp10 != 0
     assert np.isfinite(b.ai.real) and np.isfinite(b.ai.imag)
-    ex = airy_maclaurin(-160.0 + 80.0j)
     mag = b.exp10 + math.log10(abs(b.ai))
-    import mpmath as mp
     with mp.workdps(40):
         exmag = float(mp.log10(abs(mp.airyai(mp.mpc(-160.0, 80.0)))))
     assert abs(mag - exmag) < 1e-8
+
+
+def _mp_rel_error(b, z):
+    """Largest relative error of Ai and Ai' in b (exp10 applied) against
+    mpmath at 40 digits."""
+    with mp.workdps(40):
+        zz = mp.mpc(z.real, z.imag)
+        scale = mp.mpf(10) ** b.exp10
+        errs = []
+        for got, d in ((b.ai, 0), (b.ai_prime, 1)):
+            ex = mp.airyai(zz, derivative=d)
+            errs.append(float(abs(mp.mpc(got) * scale - ex) / abs(ex)))
+    return max(errs)
+
+
+@pytest.mark.parametrize("x", [0.5, 2.0, 7.0, 15.0, 35.0, 120.0])
+def test_negative_axis_both_sides_of_cut(x):
+    # Ai is entire: on the cut and just off it, from either side, the scaled
+    # value must unscale to the same Ai and Ai'
+    for z in (complex(-x, 0.0), complex(-x, -0.0), complex(-x, 1e-8), complex(-x, -1e-8)):
+        assert _mp_rel_error(A.airy(z), z) <= 1e-11, z
+
+
+def test_oracle_accuracy_large_argument():
+    # 40 < |z| <= 300, one point per 12-degree sector, so every ray class
+    # (dominant, recessive, oscillatory) is visited; values leave float range
+    rng = np.random.default_rng(2024)
+    n = 30
+    rs = rng.uniform(40.0, 300.0, n)
+    ths = -np.pi + 2.0 * np.pi * (np.arange(n) + rng.uniform(0.0, 1.0, n)) / n
+    exp10s = set()
+    for z in rs * np.exp(1j * ths):
+        b = A.airy(complex(z))
+        exp10s.add(b.exp10)
+        assert _mp_rel_error(b, complex(z)) <= 1e-11, z
+    assert min(exp10s) < 0 < max(exp10s)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # airy_scaled imports scipy.special locally; at module level it would add
+    # its import time to every entry point, none of which needs it up front
+    src = os.path.dirname(os.path.dirname(os.path.abspath(A.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, couettelab; sys.exit('scipy.special' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # -- slanted primitive -------------------------------------------------------

@@ -364,8 +364,8 @@ def _same_pair(p, q):
                     and getattr(p, f).s == getattr(q, f).s for f in scaled))
 
 
-# mixed cases on one grid: lam = 1.5 at nu = 1e-4 has no point in the
-# ascending-series band (|z| >= L/2 > 8.35), the others have some
+# mixed cases on one grid: lam = 1.5 at nu = 1e-4 has only large arguments
+# (|z| >= L/2 > 8.35), the others have some small ones
 BATCH_CASES = [
     R.ResolventCase(nu=1e-4, k=1, lam=0.0, bc="non_slip"),
     R.ResolventCase(nu=1e-4, k=1, lam=1.5, bc="non_slip"),
