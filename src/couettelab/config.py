@@ -9,8 +9,9 @@ Example::
     lambda = 0.5
     bc = non_slip
 
-Unknown keys, malformed lines, and constraint violations raise ConfigError
-with the offending line number.
+Unknown keys, malformed lines, values outside a key's closed set of
+choices, and constraint violations raise ConfigError with the offending
+line number.
 """
 
 import math
@@ -42,8 +43,31 @@ def _num_list(text):
     return tuple(_num(p.strip()) for p in text.split(",") if p.strip())
 
 
-def _str(text):
-    return text.strip()
+def _one_of(*choices):
+    """Parser of a closed choice: the text, if it is one of `choices`."""
+    def parse(text):
+        if text not in choices:
+            raise ConfigError(f"expected one of {', '.join(choices)}, got {text!r}")
+        return text
+    return parse
+
+
+def _list_of(*choices):
+    """Parser of a non-empty comma-separated list of closed choices, as a
+    tuple."""
+    one = _one_of(*choices)
+
+    def parse(text):
+        out = tuple(one(p.strip()) for p in text.split(",") if p.strip())
+        if not out:
+            raise ConfigError(f"expected a list of {', '.join(choices)}, got {text!r}")
+        return out
+    return parse
+
+
+# the closed choices: resolvent.BCS, harness.FORCINGS, the paths of
+# resolvent.solve_nonslip, harness.SWEEP_CHECKS, and the CLI's own names
+_bc = _one_of("navier_slip", "non_slip")
 
 
 @dataclass(frozen=True)
@@ -69,10 +93,11 @@ SCHEMA = {
             "k": _Key(_int, 1),
             "lambda": _Key(_num, 0.0),
             "epsilon": _Key(_num, 0.0),
-            "bc": _Key(_str, "navier_slip"),
+            "bc": _Key(_bc, "navier_slip"),
             "n": _Key(_int, 0),
-            "forcing": _Key(_str, "exp_ipiy"),
-            "path": _Key(_str, "auto"),
+            "forcing": _Key(_one_of("one", "exp_ipiy", "exp_iy", "cos_half"), "exp_ipiy"),
+            "path": _Key(_one_of("auto", "monolithic", "decomposed", "decomposed_bvp"),
+                         "auto"),
         },
     },
     "homog": {
@@ -82,12 +107,12 @@ SCHEMA = {
             "lambda": _Key(_num, 0.0),
             "epsilon": _Key(_num, 0.0),
             "n": _Key(_int, 0),
-            "method": _Key(_str, "airy"),
+            "method": _Key(_one_of("airy", "bvp"), "airy"),
         },
     },
     "sweep": {
         "sweep": {
-            "check": _Key(_str, "navier_l2"),
+            "check": _Key(_one_of("navier_l2", "navier_hm1", "nonslip"), "navier_l2"),
             "nu": _Key(_num_list, (1e-2, 1e-3, 1e-4)),
             "k": _Key(_int, 1),
         },
@@ -96,7 +121,7 @@ SCHEMA = {
         "case": {
             "nu": _Key(_num, 1e-3),
             "k": _Key(_int, 1),
-            "bc": _Key(_str, "non_slip"),
+            "bc": _Key(_bc, "non_slip"),
             "n": _Key(_int, 0),
         },
     },
@@ -104,11 +129,11 @@ SCHEMA = {
         "case": {
             "nu": _Key(_num, 1e-3),
             "k": _Key(_int, 1),
-            "bc": _Key(_str, "non_slip"),
+            "bc": _Key(_bc, "non_slip"),
             "dt": _Key(_num, 0.0),
             "t_end": _Key(_num, 0.0),
             "n": _Key(_int, 0),
-            "data": _Key(_str, "stream_bump"),
+            "data": _Key(_one_of("stream_bump"), "stream_bump"),
         },
     },
     "threshold": {
@@ -122,7 +147,7 @@ SCHEMA = {
     },
     "report": {
         "report": {
-            "blocks": _Key(_str, "airy,resolvent"),
+            "blocks": _Key(_list_of("airy", "resolvent"), ("airy", "resolvent")),
             "nu": _Key(_num_list, (1e-2, 1e-3, 1e-4)),
             "k": _Key(_int, 1),
         },
@@ -141,6 +166,7 @@ def parse_config(text, command):
     out = {sec: {key: spec.default for key, spec in keys.items()}
            for sec, keys in schema.items()}
     section = next(iter(schema))
+    lines = {}                      # (section, key) -> line number of its value
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -160,7 +186,8 @@ def parse_config(text, command):
             out[section][key] = schema[section][key].parse(value.strip())
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from None
-    _validate(command, out)
+        lines[section, key] = lineno
+    _validate(command, out, lines)
     return out
 
 
@@ -187,7 +214,25 @@ def _check_case(command, nu, k, n):
         raise ConfigError(str(exc)) from None
 
 
-def _validate(command, cfg):
+def _check_airy(nu, k, where):
+    """The slanted-Airy hypothesis of homog's default method, as
+    resolvent.homogeneous_airy requires it."""
+    from .resolvent import K0_LARGE, ResolventCase, airy_admissible
+    case = ResolventCase(nu=nu, k=k)
+    if not airy_admissible(case):
+        raise ConfigError(
+            f"{where}method = airy requires L >= 6|k| or L >= |k| >= {K0_LARGE}, "
+            f"got L = {case.L:.2f} at nu = {nu:g}, k = {k} (method = bvp has "
+            f"no such bound)")
+
+
+def _where(lines, section, *keys):
+    """'line n: ' for the first of keys given in the text, else ''."""
+    return next((f"line {lines[section, key]}: " for key in keys
+                 if (section, key) in lines), "")
+
+
+def _validate(command, cfg, lines):
     for sec, keys in cfg.items():
         if "nu" in keys:
             nus = keys["nu"] if isinstance(keys["nu"], tuple) else (keys["nu"],)
@@ -206,7 +251,14 @@ def _validate(command, cfg):
         # every case the command will solve, checked before the first runs
         for nu in nus:
             _check_case(command, nu, sec[k_key], sec.get("n", 0))
+    if command == "homog" and cfg["case"]["method"] == "airy":
+        c = cfg["case"]
+        _check_airy(c["nu"], c["k"], _where(lines, "case", "method", "nu", "k"))
     if command == "threshold":
         lo, hi = cfg["threshold"]["amplitude_lo"], cfg["threshold"]["amplitude_hi"]
         if not lo < hi:
             raise ConfigError("amplitude_lo must be < amplitude_hi")
+        k_max = cfg["threshold"]["k_max"]
+        if k_max < 8:
+            raise ConfigError(f"{_where(lines, 'threshold', 'k_max')}threshold "
+                              f"probes require k_max >= 8, got {k_max}")

@@ -16,11 +16,11 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .grid import (border_dirichlet, frame_weights, from_real_frame, l2_norm,
-                   pair_view, quadrature, real_apply, reflection_blocks,
+from .grid import (bordered_frame_blocks, frame_blocks, frame_weights,
+                   from_real_frame, l2_norm, pair_view, quadrature, real_apply,
                    to_real_frame, wall_moment_residuals, wall_moment_rows)
-from .resolvent import (FRAME_RESIDUE_MAX, INFLUENCE_COND_MAX, EllipticSolver,
-                        d1_frame_blocks, frame_d1, frame_solve)
+from .resolvent import (INFLUENCE_COND_MAX, EllipticSolver, check_bc, frame_d1,
+                        frame_solve)
 from .weights import rho_k
 
 MAX_STEPS = 400_000
@@ -43,6 +43,7 @@ class EvolutionCase:
     check_moments: bool = True
 
     def __post_init__(self):
+        check_bc(self.bc)
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
         bound = dt_accuracy_bound(self.nu, self.k)
@@ -55,39 +56,28 @@ def m_plus_blocks(nu, k, dt, grid, ops):
     L = nu(k^2 - d2) + iky, at any integer k (k = 0 is the heat matrix).
 
     In the frame of `to_real_frame`, M+ = [[A_e, -Y], [Y, A_o]]: A_e and
-    A_o are the even and odd blocks of the bordered real part
-    (`grid.reflection_blocks`), and Y = (dt k/2) diag(y_i) on the node pairs
-    i < N//2 couples them; it is zero on the wall pair, whose rows the
-    bordering replaces.  Set-up inverts A_o and the Schur complement
+    A_o are the frame blocks of the bordered 1 + (dt nu/2)(k^2 - d2), from
+    those of d2 (`grid.bordered_frame_blocks`); Y = diag(y_i) on the node
+    pairs i < N//2, y_i = (dt k/2)(y_i - y_{N-1-i})/2, couples them and is
+    zero on the wall pair.  Set-up inverts A_o and the Schur complement
     Sigma = A_e + Y A_o^-1 Y, two real inverses of half the order (N^3/2
-    flops against 2 N^3 for M+).  It refuses an M+ whose dropped part, the
-    imaginary part of Q^H M+ Q relative to its real part (Frobenius), exceeds
-    FRAME_RESIDUE_MAX, and names k, nu, N and that residue.
+    flops against 2 N^3 for M+).
 
-    Returns ((A_o^-1, Sigma^-1, y), (wall columns, wall rows), residue): y
-    holds the N//2 diagonal entries of Y; the wall columns (N, 2) are M+^-1
-    in the frame at the two frame wall coordinates, from two block solves,
-    and the wall rows (2, N) select those coordinates.
+    Returns ((A_o^-1, Sigma^-1, y), (wall columns, wall rows)): y holds the
+    N//2 diagonal entries of Y; the wall columns (N, 2) are M+^-1 in the
+    frame at the two frame wall coordinates, from two block solves, and the
+    wall rows (2, N) select those coordinates.
     """
     n = grid.n_points
     h = n // 2
-    a = np.multiply(ops.d2, -0.5 * dt * nu)
-    a[np.diag_indices(n)] += 1.0 + 0.5 * dt * nu * k**2
-    shear = 0.5 * dt * k * grid.nodes
-    shear[[0, -1]] = 0.0
-    (even, odd, y), kept, dropped = reflection_blocks(border_dirichlet(a), shear=shear)
-    del a
-    residue = dropped / kept
-    if not residue <= FRAME_RESIDUE_MAX:
-        raise RuntimeError(
-            f"M+ is not reflection symmetric at k = {k}, nu = {nu:g}, N = {n}: "
-            f"relative imaginary residue of its real form {residue:.3g} > "
-            f"{FRAME_RESIDUE_MAX:g}")
+    even, odd = bordered_frame_blocks(ops, -0.5 * dt * nu, 1.0 + 0.5 * dt * nu * k**2)
+    y = 0.25 * dt * k * (grid.nodes[:h] - grid.nodes[::-1][:h])
+    y[0] = 0.0
     odd_inv = sla.inv(odd)
     even[:h, :h] += y[:, None] * odd_inv * y
     blocks = (odd_inv, sla.inv(even), y)
     rows = np.eye(n)[[0, n - h]]
-    return blocks, (schur_solve(blocks, rows.T), rows), float(residue)
+    return blocks, (schur_solve(blocks, rows.T), rows)
 
 
 def schur_solve(blocks, r):
@@ -163,12 +153,12 @@ class CrankNicolson:
     """
 
     def __init__(self, nu, k, bc, dt, grid, ops):
+        check_bc(bc)
         self.nu, self.k, self.bc, self.dt = nu, k, bc, dt
         self.grid, self.ops = grid, ops
         self.m_minus_diag = 1.0 - 0.5 * dt * (nu * k**2 + 1j * k * grid.nodes)
         self.m_minus_d2 = 0.5 * dt * nu
-        self.blocks, self.wall_term, self.reflection_residue = m_plus_blocks(
-            nu, k, dt, grid, ops)
+        self.blocks, self.wall_term = m_plus_blocks(nu, k, dt, grid, ops)
         self.gain = None
         if bc == "non_slip":
             # Q^H [e_0, e_{n-1}] is [[1, 1], [-i, i]] / sqrt 2 on the frame walls
@@ -196,9 +186,9 @@ class CrankNicolson:
 
     @cached_property
     def d1_blocks(self):
-        """The frame blocks of d/dy (`resolvent.d1_frame_blocks`), for the
-        ledger's u1 and the lab's d/dy products."""
-        return d1_frame_blocks(self.ops)
+        """The frame blocks of d/dy (`grid.frame_blocks`), for the ledger's
+        u1 and the lab's d/dy products."""
+        return frame_blocks(self.ops, "d1")
 
     def dense_propagator(self):
         """The dense real S = (1 - left right) M+^-1 in the frame, assembled

@@ -26,8 +26,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .grid import (from_real_frame, grid_for, l1_norm, l2_norm, quadrature,
-                   real_apply, real_form, to_real_frame, wall_moment_rows)
+from .grid import (frame_blocks, frame_weights, from_real_frame, grid_for,
+                   l1_norm, l2_norm, quadrature, real_apply, real_form,
+                   to_real_frame, wall_moment_rows)
 from .norms import norms
 from .resolvent import (EPSILON_MAX, FRAME_RESIDUE_MAX, EllipticSolver,
                         HessenbergResolvent, ResolventCase, ResolventSolution,
@@ -118,21 +119,6 @@ def _power_sigma_max(apply_t, apply_th, dim, x0=None, iters=80, tol=1e-11):
     return math.sqrt(mu), x, iters, False
 
 
-def _reflect(a):
-    """W a along axis 0 for a real a, in place: the real part of
-    to_real_frame's rows, the reflection sums (a_i + a_{n-1-i})/sqrt 2 on
-    top, the middle row (n odd), the differences (a_i - a_{n-1-i})/sqrt 2
-    below.  Returns a."""
-    n = a.shape[0]
-    h = n // 2
-    top, rev = a[:h].copy(), a[n - h:][::-1].copy()
-    np.add(top, rev, out=a[:h])
-    np.subtract(top, rev, out=a[n - h:])
-    a[:h] *= math.sqrt(0.5)
-    a[n - h:] *= math.sqrt(0.5)
-    return a
-
-
 class _WorstCaseSweeper:
     """Per-(nu, k, bc, data) worst-case response over a lambda search grid.
 
@@ -151,11 +137,12 @@ class _WorstCaseSweeper:
     Hessenberg coordinates V^H (S F), pair data in the reflection frame
     Q^H f2 (weighted), where F = -d f2/dy becomes V^H S F = i G (Q^H f2)
     with one real matrix G (interior rows by all nodes), since d/dy is
-    anti-centrosymmetric.  Each step is then two band solves, O(N) wall
-    terms and, for pair data, one real product each way, as many as the
-    node-space iteration had with d/dy.  The start vectors are the node-
-    space ones carried over, so the iterates are those of a node-space
-    iteration up to rounding.
+    anti-centrosymmetric: Q_h^T times d1's frame blocks (`grid.frame_blocks`)
+    without their wall row, scaled by the frame sqrt weights.  Each step is
+    then two band solves, O(N) wall terms and, for pair data, one real
+    product each way, as many as the node-space iteration had with d/dy.
+    The start vectors are the node-space ones carried over, so the iterates
+    are those of a node-space iteration up to rounding.
     """
 
     def __init__(self, nu, k, bc, data, n_override=None):
@@ -175,31 +162,17 @@ class _WorstCaseSweeper:
             self._frame = (red.to_hessenberg, red.from_hessenberg, None)
             return
         # divergence-pair data, f1 = 0: F = -d f2/dy, sized by ||f2||_2.
-        # Q^H = Phi W with W the real reflection sum/difference and Phi =
-        # diag(1, -i) on the frame's (even, odd) halves, so for the real
-        # S D = -S d1_in / sqw, Q^H S D Q = Phi (W S D W^T) conj(Phi): i times
-        # the (even, odd) block of R = W S D W^T and -i times its (odd, even)
-        # block; its (even, even) and (odd, odd) blocks vanish but for
-        # rounding, since d/dy is anti-centrosymmetric
-        r = self.ops.d1[self.inner] / self.sqw
-        r *= -red.sq[:, None]
-        _reflect(r)
-        _reflect(r.T)
-        ev, od = slice(0, (n - 1) // 2), slice((n - 1) // 2, n - 2)
-        ev_n, od_n = slice(0, (n + 1) // 2), slice((n + 1) // 2, n)
-        norm = np.linalg.norm
-        residue = (math.hypot(norm(r[ev, ev_n]), norm(r[od, od_n]))
-                   / math.hypot(norm(r[ev, od_n]), norm(r[od, ev_n])))
-        if not residue <= FRAME_RESIDUE_MAX:
-            raise RuntimeError(
-                f"d/dy is not reflection antisymmetric at nu = {nu:g}, k = {k}, "
-                f"N = {n}: relative real residue of its frame form "
-                f"{residue:.3g} > {FRAME_RESIDUE_MAX:g}")
-        # G = Q_h^T times those blocks, written over R
-        r_eo, r_oe = r[ev, od_n].copy(), -r[od, ev_n]
-        np.matmul(red.q_h.T[:, ev], r_eo, out=r[:, od_n])
-        np.matmul(red.q_h.T[:, od], r_oe, out=r[:, ev_n])
-        self._frame = (to_real_frame, from_real_frame, r)
+        # Q^H d1 Q = [[0, i eo], [-i oe, 0]], so in the frame -S d1_in S^-1
+        # is i [[0, -eo'], [oe', 0]] (' drops the wall row and weights)
+        eo, oe = frame_blocks(self.ops, "d1")
+        sq_in, sq = frame_weights(red.sq), frame_weights(self.sqw)
+        me, ne = (n - 1) // 2, (n + 1) // 2
+        g = np.empty((n - 2, n))
+        np.matmul(red.q_h.T[:, :me], -sq_in[:me, None] * eo[1:] / sq[ne:],
+                  out=g[:, ne:])
+        np.matmul(red.q_h.T[:, me:], sq_in[me:, None] * oe[1:] / sq[:ne],
+                  out=g[:, :ne])
+        self._frame = (to_real_frame, from_real_frame, g)
 
     def _apply_r(self, lam, f_int):
         """forcing (interior nodal values) -> vorticity (all nodes)."""

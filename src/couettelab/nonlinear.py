@@ -148,7 +148,7 @@ class SpectralLab:
         self._cn_blocks = (np.empty((k_max + 1, h, h)),
                            np.empty((k_max + 1, n - h, n - h)), np.empty((k_max + 1, h)))
         self._wall_terms = (np.zeros((k_max + 1, n, 4)), np.zeros((k_max + 1, 4, n)))
-        heat_blocks, heat_wall_term, _ = m_plus_blocks(nu, 0, dt, grid, ops)
+        heat_blocks, heat_wall_term = m_plus_blocks(nu, 0, dt, grid, ops)
         for stack, part in zip(self._cn_blocks, heat_blocks):
             stack[0] = part
         self._wall_terms[0][0, :, :2], self._wall_terms[1][0, :2] = heat_wall_term

@@ -32,23 +32,14 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .airy import airy_scaled
-from .grid import (border_dirichlet, from_real_frame, real_apply,
-                   reflection_blocks, to_real_frame, wall_moment_rows)
+from .grid import (FRAME_RESIDUE_MAX, border_dirichlet, bordered_frame_blocks,
+                   frame_blocks, frame_weights, from_real_frame, real_apply,
+                   to_real_frame, wall_moment_rows)
 from .scaled import Scaled, scaled_quadrature
 
 #: Largest admissible contour shift; the harness verifies C * EPSILON_MAX <= 1/2
 #: against the recorded vorticity-Dirichlet resolvent constant.
 EPSILON_MAX = 0.02
-
-#: Largest admissible relative residue (Frobenius) of a real form in the
-#: frame of `grid.to_real_frame`: the imaginary part of HessenbergResolvent's
-#: interior operator, of the Crank-Nicolson M+ and of the spectral
-#: generator, the real part of the sweeper's d/dy, and the off-diagonal
-#: frame blocks of EllipticSolver's bordered d2 - k^2.  What it measures is
-#: the reflection asymmetry that d2 = d1 d1 picks up from rounding: 2e-16 to
-#: 2e-14 at most orders, up to 3.7e-12 at a few (284, 334, 373, 420, 819,
-#: 840 of the orders 64..1024 scanned, k = 1).
-FRAME_RESIDUE_MAX = 1e-10
 
 #: Largest admissible condition number of a 2 x 2 wall influence matrix
 #: (HessenbergResolvent, and the Crank-Nicolson stepper under velocity
@@ -60,6 +51,12 @@ INFLUENCE_COND_MAX = 1e8
 K0_LARGE = 10
 
 BCS = ("navier_slip", "non_slip")
+
+
+def check_bc(bc):
+    """Refuse a wall setting outside BCS, naming it."""
+    if bc not in BCS:
+        raise ValueError(f"bc must be one of {BCS}, got {bc!r}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +74,7 @@ class ResolventCase:
             raise ValueError("nu must be positive")
         if int(self.k) != self.k or abs(self.k) < 1:
             raise ValueError("k must be a nonzero integer")
-        if self.bc not in BCS:
-            raise ValueError(f"bc must be one of {BCS}")
+        check_bc(self.bc)
         if not 0 <= self.epsilon <= EPSILON_MAX:
             raise ValueError(f"epsilon must lie in [0, {EPSILON_MAX}]")
 
@@ -171,15 +167,12 @@ class EllipticSolver:
     the node reversal, so in the frame of `grid.to_real_frame` it is block
     diagonal: an even block of the reflection sums and the middle node
     (size N - N//2) and an odd block of the differences (size N//2).
-    Set-up builds the two blocks with `grid.reflection_blocks` and refuses
-    an A whose dropped part, the off-diagonal frame blocks ||A - J A J||
-    relative to the kept ||A + J A J|| (Frobenius), exceeds
-    FRAME_RESIDUE_MAX.  Each block is inverted by LU (`lu_factor`, then
-    `lu_solve` on the identity; an explicit `inv` loses 2-4 digits in
-    u = d1 phi) and its wall column zeroed, since the bordering replaces
-    the wall values of w.  `frame_inverses` holds (even, odd); a solve is
-    a frame transform, one real product per block on the float64 view
-    (`frame_solve`) and the transform back.
+    Set-up takes them from d2's (`grid.bordered_frame_blocks`) and inverts
+    each by LU (`lu_factor`, then `lu_solve` on the identity; an explicit
+    `inv` loses 2-4 digits in u = d1 phi), zeroing its wall column, since
+    the bordering replaces the wall values of w.  `frame_inverses` holds
+    (even, odd); a solve is a frame transform, one real product per block
+    on the float64 view (`frame_solve`) and the transform back.
 
     Measured against a longdouble-refined solve of A (nu = 1e-3 and 1e-5
     at k = 1, and 1e-4 at k = 4; N = 81 to 374): u = d1 phi is within
@@ -190,17 +183,8 @@ class EllipticSolver:
     """
 
     def __init__(self, grid, ops, k):
-        n = grid.n_points
-        a = border_dirichlet(ops.d2 - k**2 * np.eye(n))
-        blocks, kept, dropped = reflection_blocks(a)
-        residue = dropped / kept
-        self.reflection_residue = float(residue)
-        if not residue <= FRAME_RESIDUE_MAX:
-            raise RuntimeError(
-                f"elliptic operator is not reflection symmetric at k = {k}, "
-                f"N = {n}: relative off-diagonal residue of its frame blocks "
-                f"{residue:.3g} > {FRAME_RESIDUE_MAX:g}")
-        self.frame_inverses = tuple(_lu_inverse(b) for b in blocks)
+        self.frame_inverses = tuple(
+            _lu_inverse(b) for b in bordered_frame_blocks(ops, 1.0, -k**2))
 
     def solve(self, w):
         """phi for w, an (N,) vector or an (N, m) block of columns."""
@@ -233,26 +217,11 @@ def frame_solve(frame_inverses, z):
     return out
 
 
-def d1_frame_blocks(ops):
-    """(eo, oe) with Q^H d1 Q = [[0, i eo], [-i oe, 0]] in the frame of
-    `grid.to_real_frame`: d/dy is anti-centrosymmetric, J d1 J = -d1, so
-    its frame form couples the even and odd halves only.  Refuses a d1
-    whose dropped diagonal frame blocks, its centrosymmetric part relative
-    to the kept one (Frobenius), exceed FRAME_RESIDUE_MAX."""
-    blocks, kept, dropped = reflection_blocks(ops.d1, parity=-1)
-    residue = dropped / kept
-    if not residue <= FRAME_RESIDUE_MAX:
-        raise RuntimeError(
-            f"d/dy is not reflection antisymmetric at N = {len(ops.d1)}: "
-            f"relative residue of its dropped diagonal frame blocks "
-            f"{residue:.3g} > {FRAME_RESIDUE_MAX:g}")
-    return blocks
-
-
 def frame_d1(d1_blocks, z):
     """Q^H d1 Q z for z the float64 view (N, 2m) of an (N, m) complex block
-    of frame columns (`d1_frame_blocks`): one real product per block, and
-    the factors i and -i on the complex views.  Returns the same layout."""
+    of frame columns, d1_blocks = `grid.frame_blocks(ops, "d1")`: one real
+    product per block, and the factors i and -i on the complex views.
+    Returns the same layout."""
     eo, oe = d1_blocks
     ne = eo.shape[0]
     out = np.empty_like(z)
@@ -296,7 +265,7 @@ def bordered_vorticity_matrix(case, grid, ops):
     the conjugate of the one at k.
 
     Only its interior imaginary diagonal k(y - lam) depends on lam;
-    HessenbergResolvent reduces the matrix once for solves at any lam.
+    HessenbergResolvent solves with it at any lam from one reduction.
     """
     a = vorticity_matrix(case, grid, ops)
     if case.bc == "navier_slip":
@@ -314,9 +283,11 @@ class HessenbergResolvent:
     A_ii the interior block at lam = 0, of size m = N - 2.  In the sqrt-
     weight coordinates u = S w_i (S the interior sqrt quadrature weights)
     S A_ii S^-1 is centrohermitian, so M_r = Q^H S A_ii S^-1 Q is real (Q of
-    `grid.to_real_frame`).  It is built in real arithmetic: the
-    centrosymmetric real part becomes the diagonal blocks X11 +- X12 J, the
-    shear diagonal k y becomes -+k y on the cross diagonals.  One real
+    `grid.to_real_frame`).  The interior frame is the full one without the
+    wall pair, so M_r's diagonal blocks are -nu times d2's frame blocks
+    (`grid.frame_blocks`) without row and column 0, plus nu k^2 - shift on
+    the diagonal, scaled by the frame sqrt weights (`grid.frame_weights`);
+    the shear k y puts -+ its odd part on the cross diagonals.  One real
     `sla.hessenberg` gives M_r = Q_h H Q_h^T, so with V = Q Q_h unitary
 
         S B(lam) S^-1 = V (H - ik lam) V^H,
@@ -326,7 +297,8 @@ class HessenbergResolvent:
     complex band buffer; a solve is one zgbtrs.
 
     The wall rows R w = 0 are w_b = 0 under navier_slip.  Under non_slip
-    they are the moment rows, and the influence-matrix method gives
+    they are the moment rows, taken with A_ib = -nu d2_ib from node space,
+    and the influence-matrix method gives
     w_b = -C^-1 R_i B^-1 f_i, w_i = B^-1 f_i + Z w_b, with Z = -B^-1 A_ib
     the interior response to unit wall values and C = R_b + R_i Z; per lam
     that adds one two-column solve and the 2 x 2 matrix C.  Slaving w_b to
@@ -347,31 +319,21 @@ class HessenbergResolvent:
         inner, walls = slice(1, n - 1), [0, n - 1]
         self.nu, self.k = case.nu, case.k
         self.sq = np.sqrt(grid.quad_weights[inner])
-        a = bordered_vorticity_matrix(replace(case, lam=0.0), grid, ops)
-        border, wall_cols = a.real[walls], a.real[inner, walls]
-        shear = a.imag[inner, inner].diagonal().copy()
-        # X = S A_ii S^-1 in place in a's real part: no N x N copy is made
-        x = a.real[inner, inner]
-        x *= self.sq[:, None]
-        x /= self.sq[None, :]
-        # Q^H (X + i diag(shear)) Q: the even and odd blocks of X, and
-        # -+ the odd part of the shear on the cross diagonals
-        (even, odd, y), kept, dropped = reflection_blocks(x, shear=shear)
-        residue = dropped / kept
-        self.reflection_residue = residue
-        if not residue <= FRAME_RESIDUE_MAX:
-            raise RuntimeError(
-                f"interior operator is not reflection symmetric at nu = "
-                f"{case.nu:g}, k = {case.k}, N = {n}: relative imaginary "
-                f"residue of its real form {residue:.3g} > "
-                f"{FRAME_RESIDUE_MAX:g}")
+        sq_frame = frame_weights(self.sq)
         mr = np.zeros((m, m), order="F")      # reduced in place, no copy
-        mr[:m - h, :m - h] = even
-        mr[m - h:, m - h:] = odd
+        for block, part in zip(frame_blocks(ops, "d2"),
+                               (slice(0, m - h), slice(m - h, m))):
+            x = mr[part, part]
+            np.multiply(block[1:, 1:], -case.nu, out=x)
+            x[np.diag_indices_from(x)] += case.nu * case.k**2 - case.shift
+            x *= sq_frame[part, None]
+            x /= sq_frame[None, part]
+        shear = case.k * grid.nodes[inner]
+        y = 0.5 * (shear[:h] - shear[::-1][:h])
         cross = np.arange(h)
         mr[cross, cross + m - h] = -y
         mr[cross + m - h, cross] = y
-        del a, x, even, odd
+        del block, x                    # x views mr, which `del mr` frees below
         # LAPACK band storage with kl = 1, ku = m - 1: H[i, j] in row
         # m + i - j of column j; row 0 is zgbtrf's fill-in row
         self._band = np.zeros((m + 2, m), order="F")
@@ -387,9 +349,10 @@ class HessenbergResolvent:
         # moment walls: V^H S A_ib, R_i S^-1 V and R_b; per lam `_factor`
         # keeps Z (in Hessenberg coordinates) and the gain -C^-1 R_i S^-1 V
         self._moments = None
-        if border[:, inner].any():
+        if case.bc == "non_slip":
+            border = wall_moment_rows(grid, abs(case.k))
             self._moments = (
-                self.to_hessenberg(self.sq[:, None] * wall_cols),
+                self.to_hessenberg(self.sq[:, None] * (-case.nu * ops.d2[inner, walls])),
                 np.conj(self.to_hessenberg(border[:, inner].T / self.sq[:, None])).T,
                 border[:, walls])
         self._influence = None

@@ -1,9 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from couettelab.grid import (N_MAX, build_diff_ops, build_grid, cheb_nodes,
-                             default_order, l2_norm, quadrature, real_apply,
+from couettelab import evolution as E
+from couettelab import harness as H
+from couettelab import nonlinear as NL
+from couettelab import resolvent as R
+from couettelab.grid import (FRAME_RESIDUE_MAX, N_MAX, build_diff_ops,
+                             build_grid, cheb_nodes, default_order,
+                             frame_blocks, l2_norm, quadrature, real_apply,
                              real_form, reflection_blocks,
                              wall_moment_residuals, weighted_l2_norm)
 
@@ -137,29 +144,79 @@ def test_wall_moment_residuals_match_quadrature_formula(k):
 @pytest.mark.parametrize("n", [9, 10])                # odd and even n
 def test_reflection_blocks_match_real_form(n):
     # the splitter against the dense complex Q^H M Q of grid.real_form, for
-    # a centrosymmetric part with a shear diagonal and an anti-centrosymmetric
-    # part, each with a small reflection-breaking residue
+    # a centrosymmetric and an anti-centrosymmetric part, each with a small
+    # reflection-breaking residue
     rng = np.random.default_rng(n)
     b = rng.standard_normal((n, n))
     sym, anti = b + b[::-1, ::-1], b - b[::-1, ::-1]
-    s = rng.standard_normal(n)
-    shear = s - s[::-1]
     ne, h = n - n // 2, n // 2
     for parity, a in ((1, sym), (-1, anti)):
         noise = 1e-9 * rng.standard_normal((n, n))
-        blocks, kept, dropped = reflection_blocks(
-            a + noise, parity, shear=shear + 1e-9 if parity > 0 else None)
-        rf = real_form(a + noise + (1j * np.diag(shear + 1e-9) if parity > 0 else 0))
+        blocks, kept, dropped = reflection_blocks(a + noise, parity)
+        rf = real_form(a + noise)
         keep, drop = (rf.real, rf.imag) if parity > 0 else (rf.imag, rf.real)
         assert abs(kept / np.linalg.norm(keep) - 1) <= 1e-13
         assert abs(dropped / np.linalg.norm(drop) - 1) <= 1e-6
         if parity > 0:
-            even, odd, y = blocks
+            even, odd = blocks
             assert np.abs(keep[:ne, :ne] - even).max() <= 1e-14 * np.abs(even).max()
             assert np.abs(keep[ne:, ne:] - odd).max() <= 1e-14 * np.abs(odd).max()
-            assert np.abs(keep[:h, ne:] + np.diag(y)).max() <= 1e-14 * np.abs(y).max()
-            assert np.abs(keep[ne:, :h] - np.diag(y)).max() <= 1e-14 * np.abs(y).max()
         else:
             eo, oe = blocks
             assert np.abs(keep[:ne, ne:] - eo).max() <= 1e-14 * np.abs(eo).max()
             assert np.abs(keep[ne:, :ne] + oe).max() <= 1e-14 * np.abs(oe).max()
+
+
+def _perturbed(ops, name):
+    a = getattr(ops, name).copy()
+    a[1, 2] += 1e-6 * np.abs(a).max()        # breaks the node reflection
+    return dataclasses.replace(ops, **{name: a})
+
+
+def _build_consumer(consumer, g, ops, monkeypatch):
+    nu, k = 1e-3, 1
+    dt = E.dt_accuracy_bound(nu, k)
+    kind, _, bc = consumer.partition(":")
+    if kind == "elliptic":
+        R.EllipticSolver(g, ops, 2)
+    elif kind == "cn":                          # M+ at set-up, d/dy on first use
+        E.CrankNicolson(nu, k, bc, dt, g, ops).d1_blocks
+    elif kind == "lab":                         # layer 0 is M+ at k = 0
+        NL.SpectralLab(nu, 1, g, ops, dt)
+    elif kind == "hessenberg":
+        R.HessenbergResolvent(R.ResolventCase(nu=nu, k=k, bc=bc), g, ops)
+    else:                                       # the pair-data sweeper's G
+        monkeypatch.setattr(H, "grid_for", lambda nu, k, n=None: (g, ops))
+        H._WorstCaseSweeper(nu, k, "non_slip", "pair")
+
+
+#: Every consumer of the frame blocks, with the matrices whose blocks it takes.
+FRAME_CONSUMERS = {
+    "elliptic": ("d2",),
+    "cn:navier_slip": ("d2", "d1"),
+    "cn:non_slip": ("d2", "d1"),
+    "lab": ("d2", "d1"),
+    "hessenberg:navier_slip": ("d2",),
+    "hessenberg:non_slip": ("d2",),
+    "sweeper_pair": ("d2", "d1"),
+}
+
+
+@pytest.mark.parametrize("consumer, name", [
+    (consumer, name) for consumer, names in FRAME_CONSUMERS.items() for name in names])
+def test_one_reflection_guard_refuses_every_consumer(consumer, name, monkeypatch):
+    # grid.frame_blocks holds the only reflection guard: a d1 or d2 that
+    # breaks the node reflection is refused, with one message, by each
+    # consumer that takes its frame blocks
+    g = build_grid(80)                          # the sweeper's order at nu = 1e-3
+    ops = build_diff_ops(g)
+    _, kept, dropped = reflection_blocks(getattr(ops, name), -1 if name == "d1" else 1)
+    assert dropped / kept <= 1e-14
+    anti = "anti" if name == "d1" else ""
+    with pytest.raises(RuntimeError, match=rf"^{name} is not reflection {anti}symmetric "
+                       rf"at N = 81: relative residue of its dropped frame blocks "
+                       rf"\S+ > {FRAME_RESIDUE_MAX:g}$"):
+        _build_consumer(consumer, g, _perturbed(ops, name), monkeypatch)
+    blocks = frame_blocks(ops, name)
+    assert [b.shape for b in blocks] == (
+        [(41, 40), (40, 41)] if name == "d1" else [(41, 41), (40, 40)])

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from couettelab.grid import (build_diff_ops, build_grid, default_order, l2_norm,
-                             real_form)
+                             real_form, reflection_blocks)
 from couettelab import harness as H
 from couettelab import resolvent as R
 from couettelab.norms import NormBundle, norms
@@ -149,23 +149,26 @@ def _band_to_dense(band):
     return h
 
 
-@pytest.mark.parametrize("order", [80, 81])
-def test_hessenberg_reduction_reproduces_real_form(order):
+@pytest.mark.parametrize("order, epsilon", [(80, 0.0), (81, 0.0), (80, R.EPSILON_MAX)],
+                         ids=["80", "81", "80-epsilon_max"])
+def test_hessenberg_reduction_reproduces_real_form(order, epsilon):
     # Q_h H Q_h^T against the real form Q^H S A_ii S^-1 Q of the interior
     # block, built densely by grid.real_form; both walls share it
     nu, k = 1e-3, 2 if order == 80 else -1
     g = build_grid(order)
     ops = build_diff_ops(g)
-    reds = [HessenbergResolvent(ResolventCase(nu=nu, k=k, bc=bc), g, ops)
+    reds = [HessenbergResolvent(ResolventCase(nu=nu, k=k, epsilon=epsilon, bc=bc),
+                                g, ops)
             for bc in ("navier_slip", "non_slip")]
     assert np.array_equal(reds[0]._band, reds[1]._band)
     assert np.array_equal(reds[0].q_h, reds[1].q_h)
     red = reds[0]
-    a = bordered_vorticity_matrix(ResolventCase(nu=nu, k=k), g, ops)
+    a = bordered_vorticity_matrix(ResolventCase(nu=nu, k=k, epsilon=epsilon), g, ops)
     sq = np.sqrt(g.quad_weights[1:-1])
     m_r = real_form(a[1:-1, 1:-1] * (sq[:, None] / sq[None, :]))
     assert np.linalg.norm(m_r.imag) <= 1e-13 * np.linalg.norm(m_r.real)
-    assert red.reflection_residue <= 1e-13
+    _, kept, dropped = reflection_blocks(ops.d2)
+    assert dropped / kept <= 1e-13
     h = _band_to_dense(red._band)
     assert np.array_equal(h, np.triu(h, -1))
     q_h = red.q_h
@@ -358,21 +361,11 @@ def test_sweep_and_c_bounds_factor_no_dense_lu_per_lambda(monkeypatch):
 
 
 def test_reduction_guards_name_their_quantity(monkeypatch):
+    # its reflection guard is grid.frame_blocks' one
+    # (test_one_reflection_guard_refuses_every_consumer)
     g = build_grid(80)
     ops = build_diff_ops(g)
     case = ResolventCase(nu=1e-3, k=2, bc="non_slip")
-    bordered = R.bordered_vorticity_matrix
-
-    def lopsided(case, grid, ops):
-        a = bordered(case, grid, ops)
-        a[1, 2] *= 1 + 1e-6            # breaks the node reflection
-        return a
-
-    monkeypatch.setattr(R, "bordered_vorticity_matrix", lopsided)
-    with pytest.raises(RuntimeError, match=r"reflection symmetric at nu = 0.001, "
-                                           r"k = 2, N = 81: .*residue"):
-        HessenbergResolvent(case, g, ops)
-    monkeypatch.setattr(R, "bordered_vorticity_matrix", bordered)
     red = HessenbergResolvent(case, g, ops)
     monkeypatch.setattr(R, "zgbtrf", lambda ab, kl, ku, overwrite_ab: (ab, None, 7))
     with pytest.raises(RuntimeError, match=r"singular \(zgbtrf info = 7\) at "

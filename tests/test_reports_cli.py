@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -53,6 +54,21 @@ def test_type_mismatch():
     for command in ("sweep", "report"):
         with pytest.raises(ConfigError, match="line 2: k: expected a number"):
             parse_config(f"[{command}]\nk = 1, 2\n", command)
+
+
+def test_closed_choices_take_every_library_name():
+    # the config's closed choices are the names the library defines
+    from couettelab.harness import FORCINGS, SWEEP_CHECKS
+    from couettelab.resolvent import BCS
+    for bc in BCS:
+        for command in ("resolvent", "spectrum", "evolve"):
+            assert parse_config(f"[case]\nbc = {bc}\n", command)["case"]["bc"] == bc
+    for forcing in FORCINGS:
+        parse_config(f"[case]\nforcing = {forcing}\n", "resolvent")
+    for check in SWEEP_CHECKS:
+        parse_config(f"[sweep]\ncheck = {check}\n", "sweep")
+    assert parse_config("[report]\nblocks = resolvent\n", "report")["report"]["blocks"] \
+        == ("resolvent",)
 
 
 # -- reports -------------------------------------------------------------------
@@ -211,34 +227,67 @@ def test_cli_case_commands_reject_out_of_range_nu(tmp_path, monkeypatch, capsys,
         parse_config("[case]\nn = 2000\n", "resolvent")
 
 
+CAP = " exceeds the cap 1024"
+
+
 @pytest.mark.parametrize("command,text,message,too_large", [
-    ("homog", "[case]\nnu = 1e-8\n", "order 3714 for nu=1e-08, k=1",
+    ("homog", "[case]\nnu = 1e-8\n", "order 3714 for nu=1e-08, k=1" + CAP,
      "[case]\nnu = 0.5\nk = 2\n"),
-    ("spectrum", "[case]\nnu = 1e-8\n", "order 3714 for nu=1e-08, k=1",
+    ("spectrum", "[case]\nnu = 1e-8\n", "order 3714 for nu=1e-08, k=1" + CAP,
      "[case]\nnu = 0.5\nk = 2\n"),
-    ("evolve", "[case]\nnu = 1e-8\n", "order 3714 for nu=1e-08, k=1",
+    ("evolve", "[case]\nnu = 1e-8\n", "order 3714 for nu=1e-08, k=1" + CAP,
      "[case]\nnu = 0.5\nk = 2\n"),
     # every nu of the probe, at k = k_max
-    ("threshold", "[threshold]\nnu = 1e-3, 1e-8\n", "order 7427 for nu=1e-08, k=8",
+    ("threshold", "[threshold]\nnu = 1e-3, 1e-8\n", "order 7427 for nu=1e-08, k=8" + CAP,
      "[threshold]\nnu = 1e-3, 0.5\nk_max = 2\n"),
-], ids=["homog", "spectrum", "evolve", "threshold"])
+    # a value outside a closed choice, or a case outside the method's range
+    ("report", "[report]\nblocks = airy,resolvnt\n",
+     "line 2: blocks: expected one of airy, resolvent, got 'resolvnt'", None),
+    ("report", "[report]\nblocks =\n",
+     "line 2: blocks: expected a list of airy, resolvent, got ''", None),
+    ("evolve", "[case]\nbc = slip\n",
+     "line 2: bc: expected one of navier_slip, non_slip, got 'slip'", None),
+    ("homog", "[case]\nmethod = Airy\n",
+     "line 2: method: expected one of airy, bvp, got 'Airy'", None),
+    ("resolvent", "[case]\nnu = 1e-3\nbc = nonslip\n",
+     "line 3: bc: expected one of navier_slip, non_slip, got 'nonslip'", None),
+    ("spectrum", "[case]\nbc = Navier_slip\n",
+     "line 2: bc: expected one of navier_slip, non_slip, got 'Navier_slip'", None),
+    ("resolvent", "[case]\npath = decomposed_airy\n",
+     "line 2: path: expected one of auto, monolithic, decomposed, decomposed_bvp, "
+     "got 'decomposed_airy'", None),
+    ("resolvent", "[case]\nforcing = exp_ipy\n",
+     "line 2: forcing: expected one of one, exp_ipiy, exp_iy, cos_half, "
+     "got 'exp_ipy'", None),
+    ("threshold", "[threshold]\nnu = 1e-3\nk_max = 4\n",
+     "line 3: threshold probes require k_max >= 8, got 4", None),
+    # nu = 1e-2, k = 1: L = 4.64 < 6, named by the line of nu
+    ("homog", "[case]\nnu = 1e-2\n",
+     "line 2: method = airy requires L >= 6|k| or L >= |k| >= 10, got L = 4.64 "
+     "at nu = 0.01, k = 1", None),
+], ids=["homog", "spectrum", "evolve", "threshold", "report-blocks",
+        "report-no_blocks", "evolve-bc",
+        "homog-method", "resolvent-bc", "spectrum-bc", "resolvent-path",
+        "resolvent-forcing", "threshold-k_max", "homog-airy_range"])
 def test_cli_grid_commands_reject_out_of_range_nu(tmp_path, monkeypatch, capsys,
                                                  command, text, message, too_large):
-    # the order cap is a config error (exit 2), found before any grid is built
+    # the order cap, and any other bad value, is a config error (exit 2)
+    # that names it, found before any grid is built
     from couettelab import cli
 
     def no_grid(*args, **kwargs):
         raise AssertionError("a grid was built")
 
     monkeypatch.setattr(cli, "grid_for", no_grid)
-    message += " exceeds the cap 1024"
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(text, command)
     cfg = tmp_path / "c.cfg"
     cfg.write_text(text)
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert message in capsys.readouterr().err
+    if too_large is None:
+        return
     with pytest.raises(ConfigError, match=r"requires nu k\^2 <= 1, got nu = 0.5, k = 2"):
         parse_config(too_large, command)
     if command != "threshold":
@@ -247,8 +296,8 @@ def test_cli_grid_commands_reject_out_of_range_nu(tmp_path, monkeypatch, capsys,
 
 
 def test_cli_evolve_at_order_373(tmp_path):
-    # nu = 9.9e-6 gives order 373, where d2's rounding asymmetry puts the
-    # real form of M+ above 1e-12 (test_frame_forms_build_at_order_373)
+    # nu = 9.9e-6 gives order 373, where d1 and d2 round reflection-
+    # asymmetrically above 1e-12 (test_frame_forms_build_at_order_373)
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[case]\nnu = 9.9e-6\n")
     rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")])
