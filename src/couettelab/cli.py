@@ -76,6 +76,7 @@ def cmd_resolvent(args):
                          epsilon=c["epsilon"], bc=c["bc"])
     g, ops = grid_for(c["nu"], c["k"], c["n"])
     fvals = harness.FORCINGS[c["forcing"]](g.nodes)
+    # the config refuses a path other than auto under navier_slip
     kw = {"path": c["path"]} if c["bc"] == "non_slip" else {}
     sol = solve(case, direct_forcing(fvals), g, ops, **kw)
     nb = norms(sol, case, g, ops)
@@ -85,7 +86,7 @@ def cmd_resolvent(args):
         id="resolvent_0000",
         params={"nu": c["nu"], "k": c["k"], "lambda": c["lambda"],
                 "epsilon": c["epsilon"], "bc": c["bc"], "n": g.order,
-                "forcing": c["forcing"]},
+                "forcing": c["forcing"], **kw},
         results={**nb.as_dict(), "moment_plus": mom[0], "moment_minus": mom[1]}))
     if c["bc"] == "non_slip":
         rep.verdicts["moments_zero"] = bool(mom.max() < 1e-8)
@@ -222,6 +223,9 @@ def cmd_threshold(args):
                                   results={"verdict": verdict}))
     for nu, (lo, hi) in sorted(probe.brackets.items()):
         rep.fits.append({"name": "bracket", "nu": nu, "lo": lo, "hi": hi})
+    for nu, (v_lo, v_hi) in sorted(probe.unbracketed.items()):
+        rep.fits.append({"name": "unbracketed", "nu": nu, "verdict_lo": v_lo,
+                         "verdict_hi": v_hi})
     if probe.fitted_beta is not None:
         rep.fits.append({"name": "fitted_beta", "value": probe.fitted_beta,
                          "exploratory": True})

@@ -251,6 +251,11 @@ def _validate(command, cfg, lines):
         # every case the command will solve, checked before the first runs
         for nu in nus:
             _check_case(command, nu, sec[k_key], sec.get("n", 0))
+    if command == "resolvent" and cfg["case"]["bc"] == "navier_slip" \
+            and cfg["case"]["path"] != "auto":
+        raise ConfigError(f"{_where(lines, 'case', 'path')}path = "
+                          f"{cfg['case']['path']} requires bc = non_slip; the "
+                          f"navier_slip solve has one path")
     if command == "homog" and cfg["case"]["method"] == "airy":
         c = cfg["case"]
         _check_airy(c["nu"], c["k"], _where(lines, "case", "method", "nu", "k"))

@@ -14,6 +14,15 @@ second-order Adams-Bashforth, dealiased by the 3/2 rule: the x-transforms
 to and from the padded physical grid are two small real matrices.  Each
 step is a handful of batched real products of half the order on float64
 views.
+
+`run_perturbation` takes its lab from a one-slot memo (`_lab_for`): the
+last lab built is reused when nu, k_max and dt are equal, the grid and the
+diff ops are the same objects and the lab class is the one `SpectralLab`
+names at call time; otherwise a new lab replaces it.  A lab's results do
+not depend on its history, so a run on a reused lab is bit-identical to
+one on a fresh lab, and a probe's runs at one nu share one set-up.  Each
+step's CN output stays in the frame: `advance` attaches it to the new
+state (`PerturbationState.frame`), and the next evaluation starts from it.
 """
 
 import math
@@ -34,11 +43,22 @@ class BlowupError(RuntimeError):
 
 @dataclass
 class PerturbationState:
-    """Mode map k -> w_k for |k| <= k_max (w_{-k} = conj w_k), plus the mean."""
+    """Mode map k -> w_k for |k| <= k_max (w_{-k} = conj w_k), plus the mean.
+
+    `frame`, when set, is Q^H (`grid.to_real_frame`) of the (k_max + 1, N)
+    block [mean velocity; w_1 .. w_k_max]: `SpectralLab.advance` attaches
+    its CN output, with row 0 the frame image of the real mean, and
+    `SpectralLab.velocities` enters the frame from it.  States built by
+    hand or by `initial_state` keep `frame = None` and go to the frame from
+    their nodes.  States are not modified once built: the lab keys its
+    kept evaluation by state identity and trusts `frame` to match the
+    nodes.
+    """
 
     modes: dict
     mean_shear: np.ndarray
     time: float = 0.0
+    frame: np.ndarray = None
 
     @property
     def k_max(self):
@@ -58,7 +78,8 @@ class ThresholdProbe:
     amplitude_lo: float
     amplitude_hi: float
     verdicts: list = field(default_factory=list)
-    brackets: dict = field(default_factory=dict)
+    brackets: dict = field(default_factory=dict)      # nu -> (lo, hi) / nu^{1/2}
+    unbracketed: dict = field(default_factory=dict)   # nu -> (verdict lo, verdict hi)
     fitted_beta: float = None
     monotone: bool = True
 
@@ -134,6 +155,11 @@ class SpectralLab:
     and the mean's vorticity, two small transform products, the two d/dy
     blocks for d f2/dy, and three batched half-order products for CN
     (`cn_update`).
+
+    Nothing in a lab changes after set-up but the kept evaluation of the
+    last state asked about, keyed by state identity, so a lab gives the
+    same bits whatever it ran before; `run_perturbation` reuses one per
+    (nu, k_max, dt, grid, ops) through `_lab_for`.
     """
 
     def __init__(self, nu, k_max, grid, ops, dt):
@@ -174,21 +200,24 @@ class SpectralLab:
     def velocities(self, state):
         """Per-mode velocity arrays for k = 0..k_max (k = 0 is the mean).
 
-        The mean and the modes go to the frame as one block; the elliptic
-        solves of all modes are one batched real product per frame block;
-        d/dy of the mean velocity and of phi is one product per d/dy frame
-        block, and phi and u1 go back to nodes together.  The result for
-        the last state object asked about is kept, with its blocks
-        (`blocks`), so a sampled step's energy and the next step's
+        The mean and the modes enter the frame as one block: the state's
+        `frame` when `advance` made it, else Q^H of its nodes.  The
+        elliptic solves of all modes are one batched real product per
+        frame block; d/dy of the mean velocity and of phi is one product
+        per d/dy frame block, and phi and u1 go back to nodes together.
+        The result for the last state object asked about is kept, with its
+        blocks (`blocks`), so a sampled step's energy and the next step's
         right-hand side share one evaluation; states are not modified once
         built."""
         if self._evaluated[0] is not state:
             km = self.k_max
-            w = np.array([state.mean_shear] + [state.modes[k] for k in self._ks],
-                         dtype=complex)
-            if not np.isfinite(w[1:, 1:-1]).all():
+            w = np.array([state.modes[k] for k in self._ks], dtype=complex)
+            if state.frame is not None:
+                z = state.frame           # advance's blow-up guard saw w finite
+            elif np.isfinite(w[:, 1:-1]).all():
+                z = to_real_frame(np.vstack([state.mean_shear, w]))
+            else:
                 raise ValueError("non-finite vorticity in the elliptic solves")
-            z = to_real_frame(w)
             # rows: the mean velocity, then phi of each mode
             phi = z.copy()
             phi[1:] = frame_solve(self._elliptic, pair_view(z[1:])).view(complex)[..., 0]
@@ -198,7 +227,7 @@ class SpectralLab:
             out = {0: (state.mean_shear.astype(complex),
                        np.zeros_like(state.mean_shear, dtype=complex))}
             out.update({k: (u1[k - 1], u2[k - 1]) for k in self._ks})
-            self._evaluated = (state, out, (w[1:], u1, u2, nodes[km].real), z)
+            self._evaluated = (state, out, (w, u1, u2, nodes[km].real), z)
         return self._evaluated[1]
 
     def blocks(self, state):
@@ -256,8 +285,14 @@ class SpectralLab:
         x = pair_view(self.dt * explicit)
         if not (np.isfinite(z).all() and np.isfinite(x).all()):
             raise ValueError("non-finite CN right-hand side in the mode block")
-        out = from_real_frame(
-            cn_update(self._cn_blocks, self._wall_terms, z, x).view(complex)[..., 0])
+        frame = cn_update(self._cn_blocks, self._wall_terms, z, x).view(complex)[..., 0]
+        # the mean is real: its frame image is real on the even rows and
+        # imaginary on the odd ones; drop the rounding-level rest, as .real
+        # drops it at the nodes
+        even = frame.shape[1] - frame.shape[1] // 2
+        frame[0, :even].imag = 0.0
+        frame[0, even:].real = 0.0
+        out = from_real_frame(frame)
         w_new = out[1:]
         over = ~(np.abs(w_new).max(axis=1) <= BLOWUP_GUARD)
         if over.any():
@@ -267,7 +302,8 @@ class SpectralLab:
         for k in self._ks:
             modes[k], modes[-k] = w_new[k - 1], conj[k - 1]
         mean = out[0].real.copy()
-        new = PerturbationState(modes=modes, mean_shear=mean, time=state.time + self.dt)
+        new = PerturbationState(modes=modes, mean_shear=mean, time=state.time + self.dt,
+                                frame=frame)
         return new, (rhs, mean_rhs)
 
 
@@ -321,6 +357,23 @@ class EnergyAccumulator:
 
 TAIL_LIMIT = 1e-4
 
+_last_lab = None        # the one slot of `_lab_for`
+
+
+def _lab_for(nu, k_max, grid, ops, dt):
+    """The last lab built here when nu, k_max and dt are equal, grid and ops
+    are the same objects and its class is the one `SpectralLab` names now
+    (a subclass swapped in gets labs of its own); else a new lab, which
+    takes the slot.  One slot: a second lab would keep another set of
+    stacks, about 4N^2(2 k_max + 1) bytes, alive."""
+    global _last_lab
+    lab = _last_lab
+    if not (type(lab) is SpectralLab and lab.grid is grid and lab.ops is ops
+            and (lab.nu, lab.k_max, lab.dt) == (nu, k_max, dt)):
+        _last_lab = None                # the old stacks go before the new are built
+        lab = _last_lab = SpectralLab(nu, k_max, grid, ops, dt)
+    return lab
+
 
 def run_perturbation(nu, amplitude, grid, ops, k_max=8, t_end=None, dt=None,
                      sample_every=4, growth_factor=4.0):
@@ -330,13 +383,17 @@ def run_perturbation(nu, amplitude, grid, ops, k_max=8, t_end=None, dt=None,
     sampled (t, running total energy) history and the worst truncation-tail
     ratio ||w_kmax|| / ||w_1||; a tail above TAIL_LIMIT means k_max was
     insufficient and downgrades the verdict to inconclusive.
+
+    The lab comes from `_lab_for`: runs at one (nu, k_max, dt) on the same
+    grid and ops objects share one set-up, with results bit-identical to a
+    fresh lab's.
     """
     if dt is None:
         dt = dt_accuracy_bound(nu, k_max)
     if t_end is None:
         t_end = 20.0 * (nu) ** (-1 / 3)
     state = initial_state(amplitude, grid, ops, k_max)
-    lab = SpectralLab(nu, k_max, grid, ops, dt)
+    lab = _lab_for(nu, k_max, grid, ops, dt)
     acc = EnergyAccumulator(nu, k_max, grid, ops)
     acc.take(lab, state)
     t_ref = t_end / 10.0
@@ -376,8 +433,11 @@ def probe_threshold(probe, grid_builder, k_max=8, rel_bracket=0.1, max_runs=12,
                     t_end=None):
     """Bisect the stable/growing amplitude boundary for each nu.
 
-    grid_builder(nu) -> (grid, ops).  Verdicts are recorded for every run;
-    the bracket shrinks geometrically until hi/lo <= 1 + rel_bracket.
+    grid_builder(nu) -> (grid, ops).  Verdicts are recorded for every run.
+    A nu whose lower end is stable and whose upper end is not is bisected,
+    geometrically until hi/lo <= 1 + rel_bracket, and its bracket recorded
+    in `brackets`; any other nu goes to `unbracketed` with its two end
+    verdicts.  `fitted_beta` is fitted over bracketed nu only.
     """
     if k_max < 8:
         raise ValueError("threshold probes require k_max >= 8")
@@ -387,7 +447,7 @@ def probe_threshold(probe, grid_builder, k_max=8, rel_bracket=0.1, max_runs=12,
         v_lo = _classify(probe, nu, lo, grid, ops, k_max, t_end)
         v_hi = _classify(probe, nu, hi, grid, ops, k_max, t_end)
         if v_lo != "stable" or v_hi == "stable":
-            probe.brackets[nu] = (lo / nu**0.5, hi / nu**0.5)
+            probe.unbracketed[nu] = (v_lo, v_hi)
             continue
         runs = 0
         while hi / lo > 1.0 + rel_bracket and runs < max_runs:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from couettelab.grid import (build_diff_ops, build_grid, default_order,
                              from_real_frame, l2_norm, quadrature,
-                             wall_moment_residuals)
+                             to_real_frame, wall_moment_residuals)
 from couettelab import evolution as E
 from couettelab import nonlinear as NL
 
@@ -272,13 +273,130 @@ def test_velocities_reused_for_the_same_state(setup):
     kept = lab.velocities(new)
     assert lab.velocities(new) is kept and kept is not vel
     twin = NL.PerturbationState(modes=dict(new.modes), mean_shear=new.mean_shear,
-                                time=new.time)
+                                time=new.time, frame=new.frame)
     fresh = lab.velocities(twin)
     assert fresh is not kept
     for k in range(kmax + 1):
         for a, b in zip(kept[k], fresh[k]):
-            assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
-                                  np.ascontiguousarray(b).view(np.uint64)), k
+            assert same_bits(a, b), k
+
+
+def same_bits(a, b):
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                          np.ascontiguousarray(b).view(np.uint64))
+
+
+def node_block(state, kmax):
+    """[mean; w_1 .. w_kmax] at the nodes, as the frame block's rows."""
+    return np.vstack([state.mean_shear] + [state.modes[k] for k in range(1, kmax + 1)])
+
+
+def test_advance_carries_its_frame_block(setup):
+    # the frame block advance attaches is Q^H of the new state's nodes to
+    # rounding, with row 0 exactly the frame image of a real vector
+    nu, K, g, ops = setup
+    kmax = 4
+    lab = NL.SpectralLab(nu, kmax, g, ops, NL.dt_accuracy_bound(nu, kmax))
+    st = multi_mode_state(g, ops, kmax)
+    assert st.frame is None and NL.initial_state(0.1, g, ops, kmax).frame is None
+    rhs = None
+    for _ in range(3):
+        st, rhs = lab.advance(st, rhs)
+        ref = to_real_frame(node_block(st, kmax))
+        assert st.frame.shape == ref.shape
+        assert np.abs(st.frame - ref).max() <= 1e-15 * np.abs(ref).max()
+        even = g.n_points - g.n_points // 2
+        assert not st.frame[0, :even].imag.any() and not st.frame[0, even:].real.any()
+        assert np.array_equal(st.mean_shear, from_real_frame(st.frame[0]).real)
+
+
+def test_hand_built_state_takes_the_node_path(setup):
+    # without a frame block the lab enters the frame by Q^H of the nodes;
+    # with one it starts from the block and reads the nodes only for the
+    # pointwise products
+    nu, K, g, ops = setup
+    kmax = 4
+    lab = NL.SpectralLab(nu, kmax, g, ops, NL.dt_accuracy_bound(nu, kmax))
+    new, _ = lab.advance(multi_mode_state(g, ops, kmax))
+    hand = NL.PerturbationState(modes=dict(new.modes), mean_shear=new.mean_shear,
+                                time=new.time)
+    framed = dataclasses.replace(hand, frame=to_real_frame(node_block(hand, kmax)))
+    by_nodes, by_frame, carried = (lab.velocities(s) for s in (hand, framed, new))
+    for j in (0, 1):                   # u1, u2
+        scale = max(np.abs(by_nodes[k][j]).max() for k in range(kmax + 1))
+        for k in range(kmax + 1):
+            assert same_bits(by_nodes[k][j], by_frame[k][j]), k
+            assert np.abs(by_nodes[k][j] - carried[k][j]).max() <= 1e-13 * scale, k
+    zeroed = dataclasses.replace(new, frame=np.zeros_like(new.frame))
+    assert not any(lab.velocities(zeroed)[k][0].any() for k in range(1, kmax + 1))
+
+
+class RecordingLab(NL.SpectralLab):
+    """SpectralLab that counts its set-ups and keeps the latest state."""
+
+    builds = 0
+    last_state = None
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        type(self).builds += 1
+
+    def advance(self, state, rhs_prev=None):
+        new, rhs = super().advance(state, rhs_prev)
+        type(self).last_state = new
+        return new, rhs
+
+
+def test_reused_lab_runs_bit_identical_to_fresh_lab(setup, monkeypatch):
+    nu, K, g, ops = setup
+    monkeypatch.setattr(NL, "SpectralLab", RecordingLab)
+    monkeypatch.setattr(NL, "_last_lab", None)
+    dt = NL.dt_accuracy_bound(nu, K)
+    amp = 0.01 * math.sqrt(nu)
+
+    def run(a):
+        verdict, energy, trace = NL.run_perturbation(nu, a, g, ops, k_max=K,
+                                                     t_end=40 * dt)
+        return verdict, energy, trace, RecordingLab.last_state
+
+    run(2 * amp)                       # the lab's history: a run at another amplitude
+    lab = NL._last_lab
+    reused = run(amp)
+    assert NL._last_lab is lab
+    monkeypatch.setattr(NL, "_last_lab", None)
+    fresh = run(amp)
+    assert NL._last_lab is not lab
+    assert reused[0] == fresh[0] == "stable"
+    assert reused[1] == fresh[1] and reused[2] == fresh[2]
+    assert len(reused[2]["samples"]) == 10
+    a, b = reused[3], fresh[3]
+    assert a.time == b.time and same_bits(a.mean_shear, b.mean_shear)
+    assert same_bits(a.frame, b.frame)
+    assert all(same_bits(a.modes[k], b.modes[k]) for k in range(-K, K + 1))
+
+
+def test_lab_memo_keys(setup, monkeypatch):
+    # one slot: the last lab comes back only for equal nu, k_max and dt, the
+    # same grid and ops objects and the class SpectralLab names now
+    nu, K, g, ops = setup
+    monkeypatch.setattr(NL, "_last_lab", None)
+    dt = NL.dt_accuracy_bound(nu, 2)
+    key = (nu, 2, g, ops, dt)
+    lab = NL._lab_for(*key)
+    assert NL._lab_for(*key) is lab
+    for other in [(2 * nu, 2, g, ops, dt), (nu, 2, g, ops, dt / 2),
+                  (nu, 3, g, ops, dt), (nu, 2, g, dataclasses.replace(ops), dt)]:
+        built = NL._lab_for(*other)
+        assert built is not lab and NL._lab_for(*other) is built
+        b_nu, b_k_max, b_grid, b_ops, b_dt = other
+        assert (built.nu, built.k_max, built.dt) == (b_nu, b_k_max, b_dt)
+        assert built.grid is b_grid and built.ops is b_ops
+        lab = NL._lab_for(*key)            # the slot holds one lab
+        assert lab is not built
+    monkeypatch.setattr(NL, "SpectralLab", RecordingLab)
+    sub = NL._lab_for(*key)
+    assert type(sub) is RecordingLab and sub is not lab
+    assert NL._lab_for(*key) is sub
 
 
 def test_momentum_flux_consistency(setup):
@@ -354,11 +472,85 @@ def test_probe_threshold_monotone_and_bracket():
     out = NL.probe_threshold(probe, builder, k_max=K, rel_bracket=0.5,
                              max_runs=3)
     assert out.monotone
-    assert nu in out.brackets
-    lo, hi = out.brackets[nu]
-    assert lo < hi
-    verdicts = {v[2] for v in out.verdicts}
-    assert "stable" in verdicts
+    # both ends are stable: no bracket, no bisection and no fit
+    assert [v[2] for v in out.verdicts] == ["stable", "stable"]
+    assert out.brackets == {}
+    assert out.unbracketed == {nu: ("stable", "stable")}
+    assert out.fitted_beta is None
+
+
+def stub_classify(thresholds):
+    """_classify without runs: stable below amplitude thresholds[nu]."""
+    def classify(probe, nu, amplitude, grid, ops, k_max, t_end=None):
+        verdict = "stable" if amplitude < thresholds[nu] else "growing"
+        probe.verdicts.append((nu, amplitude, verdict))
+        return verdict
+    return classify
+
+
+@pytest.mark.parametrize("c, ends", [(0.03, None), (1.0, ("stable", "stable")),
+                                     (0.001, ("growing", "growing"))],
+                         ids=["bisection", "both-stable", "both-growing"])
+def test_probe_brackets_only_a_sign_change(monkeypatch, c, ends):
+    nu = 1e-3
+    monkeypatch.setattr(NL, "_classify", stub_classify({nu: c * nu**0.5}))
+    probe = NL.ThresholdProbe(nu_values=(nu,), amplitude_lo=0.005, amplitude_hi=0.08)
+    out = NL.probe_threshold(probe, lambda _nu: (None, None), rel_bracket=0.1)
+    assert out.monotone and out.fitted_beta is None
+    if ends is None:
+        assert out.unbracketed == {}
+        lo, hi = out.brackets[nu]
+        assert lo < c <= hi and hi / lo <= 1.1
+        assert len(out.verdicts) > 2
+    else:
+        assert out.brackets == {}
+        assert out.unbracketed == {nu: ends}
+        assert len(out.verdicts) == 2
+
+
+def test_fitted_beta_uses_bracketed_nu_only(monkeypatch):
+    # thresholds a = 0.01 nu^0.4 at the outer nu, none at the middle one:
+    # the fit sees the two brackets and returns -0.4, not the -0.5 that the
+    # probe's own ends (c nu^{1/2}) would give
+    nus = (1e-2, 1e-3, 1e-5)
+    thresholds = {nu: 0.01 * nu**0.4 for nu in nus}
+    thresholds[1e-3] = 0.0
+    monkeypatch.setattr(NL, "_classify", stub_classify(thresholds))
+    probe = NL.ThresholdProbe(nu_values=nus, amplitude_lo=0.005, amplitude_hi=0.08)
+    out = NL.probe_threshold(probe, lambda _nu: (None, None), rel_bracket=1e-3,
+                             max_runs=40)
+    assert sorted(out.brackets) == [1e-5, 1e-2]
+    assert out.unbracketed == {1e-3: ("growing", "growing")}
+    assert abs(out.fitted_beta + 0.4) < 1e-3
+
+
+def test_probe_builds_one_lab_per_nu(monkeypatch):
+    # real runs, cut short: a run grows (the lab raises the blow-up error)
+    # when it starts from a larger mode 1 than the seed at c = 0.03
+    K = 8
+    grids = {nu: (g, build_diff_ops(g)) for nu in (1e-2, 1e-3)
+             for g in [build_grid(default_order(nu, K))]}
+
+    class Counting(RecordingLab):
+        builds = 0
+
+        def advance(self, state, rhs_prev=None):
+            g, ops = grids[self.nu]
+            seed = NL.initial_state(0.03 * self.nu**0.5, g, ops, K).modes[1]
+            if state.time == 0.0 and np.abs(state.modes[1]).max() > np.abs(seed).max():
+                raise NL.BlowupError("above the stub threshold")
+            return super().advance(state, rhs_prev)
+
+    monkeypatch.setattr(NL, "SpectralLab", Counting)
+    monkeypatch.setattr(NL, "_last_lab", None)
+    probe = NL.ThresholdProbe(nu_values=(1e-2, 1e-3), amplitude_lo=0.005,
+                              amplitude_hi=0.08)
+    out = NL.probe_threshold(probe, grids.__getitem__, k_max=K, rel_bracket=0.5,
+                             max_runs=4, t_end=0.05)
+    assert Counting.builds == 2
+    assert len(out.verdicts) > 4 and sorted(out.brackets) == [1e-3, 1e-2]
+    for nu, (lo, hi) in out.brackets.items():
+        assert lo < 0.03 <= hi, nu
 
 
 def test_tail_monitor_downgrades_verdict(setup):

@@ -147,6 +147,7 @@ def test_cli_resolvent_nonslip(tmp_path):
     doc = json.load(open(tmp_path / "o" / "report.json"))
     assert doc["verdicts"]["moments_zero"]
     assert doc["schema_version"] == 1
+    assert doc["records"][0]["params"]["path"] == "auto"
 
 
 def test_cli_homog(tmp_path):
@@ -259,6 +260,9 @@ CAP = " exceeds the cap 1024"
     ("resolvent", "[case]\nforcing = exp_ipy\n",
      "line 2: forcing: expected one of one, exp_ipiy, exp_iy, cos_half, "
      "got 'exp_ipy'", None),
+    ("resolvent", "[case]\nnu = 1e-3\npath = decomposed\n",
+     "line 3: path = decomposed requires bc = non_slip; the navier_slip solve "
+     "has one path", None),
     ("threshold", "[threshold]\nnu = 1e-3\nk_max = 4\n",
      "line 3: threshold probes require k_max >= 8, got 4", None),
     # nu = 1e-2, k = 1: L = 4.64 < 6, named by the line of nu
@@ -268,7 +272,8 @@ CAP = " exceeds the cap 1024"
 ], ids=["homog", "spectrum", "evolve", "threshold", "report-blocks",
         "report-no_blocks", "evolve-bc",
         "homog-method", "resolvent-bc", "spectrum-bc", "resolvent-path",
-        "resolvent-forcing", "threshold-k_max", "homog-airy_range"])
+        "resolvent-forcing", "resolvent-path_navier", "threshold-k_max",
+        "homog-airy_range"])
 def test_cli_grid_commands_reject_out_of_range_nu(tmp_path, monkeypatch, capsys,
                                                  command, text, message, too_large):
     # the order cap, and any other bad value, is a config error (exit 2)
@@ -358,4 +363,7 @@ def test_cli_threshold_small(tmp_path):
     assert rc == 0
     doc = json.load(open(tmp_path / "o" / "report.json"))
     assert doc["verdicts"]["verdicts_monotone"]
-    assert any(f["name"] == "bracket" for f in doc["fits"])
+    # both ends are stable: the nu is reported unbracketed, with no bracket
+    assert not any(f["name"] in ("bracket", "fitted_beta") for f in doc["fits"])
+    assert {"name": "unbracketed", "nu": 1e-3, "verdict_lo": "stable",
+            "verdict_hi": "stable"} in doc["fits"]
